@@ -10,13 +10,11 @@ Monte Carlo sampler checks the analytic success probabilities empirically.
 __version__ = "0.1.0"
 
 from .cavity import (
-    AtomicWPrimeSpec,
     CavityStepPlan,
     JCParams,
     jc_hamiltonian,
     jc_propagator_closed,
     optimal_interaction_time,
-    ramsey_phase,
     run_physical,
 )
 from .montecarlo import TrialConfig, TrialStats, confidence_interval, run_trials
@@ -39,11 +37,9 @@ from .statevec import (
     fidelity,
     inner_product,
     project_site,
-    sample_site,
 )
 
 __all__ = [
-    "AtomicWPrimeSpec",
     "CavityStepPlan",
     "DistillationReport",
     "JCParams",
@@ -67,9 +63,7 @@ __all__ = [
     "phase_correction",
     "plan",
     "project_site",
-    "ramsey_phase",
     "run_exact",
     "run_physical",
     "run_trials",
-    "sample_site",
 ]

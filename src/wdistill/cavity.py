@@ -15,34 +15,15 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    DegenerateCoefficientError,
-    ToleranceError,
-    TruncationError,
-    UnsupportedModeError,
-    ValidationError,
-)
-from .protocol import (
-    FIDELITY_TOL,
-    PROB_MATCH_TOL,
-    DistillationReport,
-    WPrimeSpec,
-    analytic_success_probability,
-    make_w_state,
-    measure_all_branches,
-    min_coefficient_index,
-)
-from .statevec import StateVector, SubsystemLayout, apply_local, fidelity
+from .errors import UnsupportedModeError, ValidationError
+from .protocol import DistillationReport, WPrimeSpec, distill
+from .statevec import StateVector, SubsystemLayout, apply_local, single_excitation_state
 
 RESONANCE_TOL = 1e-12
-
-
-class AtomicWPrimeSpec(WPrimeSpec):
-    """Coefficient specification over atomic levels, |g> = 0 and |e> = 1."""
 
 
 @dataclass(frozen=True)
@@ -149,10 +130,7 @@ def optimal_interaction_time(
         raise ValidationError(f"coupling epsilon must be positive, got {epsilon}")
     if not 0 <= k < spec.n:
         raise ValidationError(f"party index {k} out of range")
-    if spec.coeffs[k] == 0:
-        raise DegenerateCoefficientError(f"coefficient {k} is zero")
-    j = min_coefficient_index(spec.coeffs)
-    if k == j:
+    if k == spec.min_index:
         raise ValidationError(f"party {k} holds the minimal coefficient and must not interact")
     ratio = min(abs(c) for c in spec.coeffs) / abs(spec.coeffs[k])
     delta_t = math.acos(min(1.0, ratio)) / epsilon
@@ -163,102 +141,50 @@ def optimal_interaction_time(
     return CavityStepPlan(k=k, delta_t=delta_t, accrued_phases=phases)
 
 
-def ramsey_phase(state: StateVector, site: int, phi: float) -> StateVector:
-    """Classical Ramsey-zone pulse: diag(1, e^{i phi}) on an atomic site."""
-    if not 0 <= site < state.layout.n_sites:
-        raise ValidationError(f"site {site} out of range")
-    if state.layout.dims[site] != 2:
-        raise ValidationError(f"site {site} is not a two-level atom")
-    gate = np.array([[1.0, 0.0], [0.0, cmath.exp(1j * float(phi))]], dtype=np.complex128)
-    return apply_local(state, gate, (site,))
-
-
 def physical_plan(spec: WPrimeSpec, params: JCParams) -> tuple[int, tuple[CavityStepPlan, ...]]:
     """Skipped-party index and per-party interaction times, ascending order."""
-    for i, c in enumerate(spec.coeffs):
-        if c == 0:
-            raise DegenerateCoefficientError(f"coefficient {i} is zero")
-    j = min_coefficient_index(spec.coeffs)
     plans = tuple(
         optimal_interaction_time(spec, k, params.epsilon, omega=params.omega)
         for k in range(spec.n)
-        if k != j
+        if k != spec.min_index
     )
-    return j, plans
+    return spec.min_index, plans
 
 
 def evolved_physical_state(
     spec: WPrimeSpec, params: JCParams
-) -> tuple[StateVector, int, tuple[int, ...], tuple[CavityStepPlan, ...]]:
+) -> tuple[StateVector, tuple[int, ...], tuple[CavityStepPlan, ...]]:
     """Atoms + cavities after every atom-cavity pass, before photodetection.
 
-    Returns (state, skipped index j, cavity sites in measurement order,
-    step plans). Shared by the physical runner and the trajectory sampler.
+    Returns (state, cavity sites in measurement order, step plans). Shared by
+    the physical runner and the trajectory sampler.
     """
     if not params.is_resonant:
         raise UnsupportedModeError("physical protocol requires resonant parameters")
-    if params.fock_cutoff < 1:
-        raise TruncationError("fock_cutoff must hold at least one photon")
-    j, plans = physical_plan(spec, params)
+    _, plans = physical_plan(spec, params)
     n = spec.n
     fock_dim = params.fock_cutoff + 1
-    users = [p.k for p in plans]
-    labels = tuple(f"atom{i + 1}" for i in range(n)) + tuple(f"cav{k + 1}" for k in users)
+    labels = tuple(f"atom{i + 1}" for i in range(n)) + tuple(f"cav{p.k + 1}" for p in plans)
     layout = SubsystemLayout((2,) * n + (fock_dim,) * (n - 1), labels)
-    amps = np.zeros(layout.size, dtype=np.complex128)
-    for m, c in enumerate(spec.coeffs):
-        occ = [0] * layout.n_sites
-        occ[m] = 1
-        amps[layout.ravel(occ)] = c
-    state = StateVector(layout, amps)
+    state = single_excitation_state(layout, spec.coeffs)
     cavity_sites = tuple(n + i for i in range(n - 1))
     for plan_k, cav in zip(plans, cavity_sites):
         u = jc_propagator_closed(params, plan_k.delta_t)
         state = apply_local(state, u, (plan_k.k, cav))
-    return state, j, cavity_sites, plans
+    return state, cavity_sites, plans
 
 
 def run_physical(spec: WPrimeSpec, params: JCParams) -> DistillationReport:
     """Run the cavity scheme exactly: evolve, photodetect, Ramsey-repair.
 
-    The success probability must match N*min|c_i|^2 and the repaired output
-    must reach fidelity 1 with the W state; breaches raise ToleranceError.
+    Step k leaves atom k's excited term carrying arg(c_k) minus the ledger's
+    unaffected-minus-acting angle (omega*dt_k) relative to the spectator
+    terms; the shared runner undoes exactly that phase on each atom.
     """
-    state, j, cavity_sites, plans = evolved_physical_state(spec, params)
-    records, success_prob, success_atoms = measure_all_branches(state, cavity_sites, spec.n)
-
-    total = sum(r.probability for r in records)
-    if abs(total - 1.0) > PROB_MATCH_TOL:
-        raise ToleranceError(f"branch probabilities sum to {total!r}, not 1")
-    analytic = analytic_success_probability(spec)
-    if abs(success_prob - analytic) > PROB_MATCH_TOL:
-        raise ToleranceError(
-            f"physical success probability {success_prob!r} deviates from analytic {analytic!r}"
-        )
-    if success_atoms is None:
-        raise ToleranceError("vacuum branch has zero probability for a valid specification")
-
-    # Ledger-derived repair: step k left the excited term of atom k carrying
-    # arg(c_k) - omega*dt_k relative to the spectator terms.
-    corrected = success_atoms
-    for plan_k in plans:
-        phi = params.omega * plan_k.delta_t - cmath.phase(spec.coeffs[plan_k.k])
-        corrected = ramsey_phase(corrected, plan_k.k, phi)
-    corrected = ramsey_phase(corrected, j, -cmath.phase(spec.coeffs[j]))
-    head = corrected.amps[corrected.layout.ravel((1,) + (0,) * (spec.n - 1))]
-    if abs(head) == 0.0:
-        raise ToleranceError("amplitude of |10...0> vanished after repair")
-    corrected = StateVector(corrected.layout, corrected.amps * (head.conjugate() / abs(head)))
-
-    fid = fidelity(corrected, make_w_state(spec.n))
-    if abs(fid - 1.0) > FIDELITY_TOL:
-        raise ToleranceError(f"repaired output fidelity {fid!r} is not 1 within {FIDELITY_TOL}")
-    return DistillationReport(
-        success_probability_exact=success_prob,
-        success_probability_analytic=analytic,
-        branch_records=tuple(records),
-        final_state=corrected,
-        fidelity_with_w=fid,
-        min_index=j,
-        cavity_steps=plans,
-    )
+    state, cavity_sites, plans = evolved_physical_state(spec, params)
+    ledger = {
+        p.k: cmath.phase(spec.coeffs[p.k])
+        - (p.accrued_phases["unaffected"] - p.accrued_phases["acting"])
+        for p in plans
+    }
+    return replace(distill(spec, state, cavity_sites, ledger), cavity_steps=plans)

@@ -8,6 +8,7 @@ error, 2 invalid coefficient specification, 3 internal numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -153,10 +154,8 @@ def _base_report(spec: WPrimeSpec, factor: float, scheme: str) -> dict:
     }
 
 
-def cmd_distill(args) -> int:
-    spec, factor = load_spec(args.spec_path, args.allow_unnormalized)
-    report = run_exact(spec)
-    doc = _base_report(spec, factor, "abstract")
+def _exact_report(spec: WPrimeSpec, factor: float, scheme: str, report: DistillationReport) -> dict:
+    doc = _base_report(spec, factor, scheme)
     doc.update(
         {
             "min_index": report.min_index + 1,
@@ -166,37 +165,32 @@ def cmd_distill(args) -> int:
             "branches": _branch_rows(report),
         }
     )
+    return doc
+
+
+def _jc_params(args) -> JCParams:
+    """Resonant JC parameters from the --epsilon/--omega/--fock flags."""
+    if args.epsilon <= 0:
+        raise SpecError(f"epsilon must be positive, got {args.epsilon}")
+    if args.fock < 1:
+        raise SpecError(f"fock cutoff must be >= 1, got {args.fock}")
+    return JCParams(omega=args.omega, omega0=args.omega, epsilon=args.epsilon, fock_cutoff=args.fock)
+
+
+def cmd_distill(args) -> int:
+    spec, factor = load_spec(args.spec_path, args.allow_unnormalized)
+    doc = _exact_report(spec, factor, "abstract", run_exact(spec))
     _emit(render_report(doc), args.out)
     return EXIT_OK
 
 
 def cmd_cavity(args) -> int:
-    if args.epsilon <= 0:
-        raise SpecError(f"epsilon must be positive, got {args.epsilon}")
-    if args.fock < 1:
-        raise SpecError(f"fock cutoff must be >= 1, got {args.fock}")
+    params = _jc_params(args)
     spec, factor = load_spec(args.spec_path, args.allow_unnormalized)
-    params = JCParams(omega=args.omega, omega0=args.omega, epsilon=args.epsilon, fock_cutoff=args.fock)
     report = run_physical(spec, params)
-    doc = _base_report(spec, factor, "cavity")
-    doc.update(
-        {
-            "min_index": report.min_index + 1,
-            "success_probability_analytic": report.success_probability_analytic,
-            "success_probability_exact": report.success_probability_exact,
-            "fidelity_with_w": report.fidelity_with_w,
-            "branches": _branch_rows(report),
-            "jc_params": {
-                "omega": params.omega,
-                "omega0": params.omega0,
-                "epsilon": params.epsilon,
-                "fock_cutoff": params.fock_cutoff,
-            },
-            "steps": [
-                {"user": p.k + 1, "delta_t": p.delta_t} for p in report.cavity_steps
-            ],
-        }
-    )
+    doc = _exact_report(spec, factor, "cavity", report)
+    doc["jc_params"] = dataclasses.asdict(params)
+    doc["steps"] = [{"user": p.k + 1, "delta_t": p.delta_t} for p in report.cavity_steps]
     _emit(render_report(doc), args.out)
     return EXIT_OK
 
@@ -207,11 +201,7 @@ def cmd_sample(args) -> int:
     if not 0 <= args.seed < 2**64:
         raise UsageError("--seed must be a 64-bit unsigned integer")
     spec, factor = load_spec(args.spec_path, args.allow_unnormalized)
-    params = None
-    if args.scheme == "cavity":
-        if args.epsilon <= 0:
-            raise SpecError(f"epsilon must be positive, got {args.epsilon}")
-        params = JCParams(omega=args.omega, omega0=args.omega, epsilon=args.epsilon, fock_cutoff=args.fock)
+    params = _jc_params(args) if args.scheme == "cavity" else None
     config = TrialConfig(trials=args.trials, seed=args.seed, scheme=args.scheme, params=params)
     stats = run_trials(spec, config)
     lo, hi = confidence_interval(stats, WILSON_Z)
@@ -231,12 +221,7 @@ def cmd_sample(args) -> int:
         }
     )
     if params is not None:
-        doc["jc_params"] = {
-            "omega": params.omega,
-            "omega0": params.omega0,
-            "epsilon": params.epsilon,
-            "fock_cutoff": params.fock_cutoff,
-        }
+        doc["jc_params"] = dataclasses.asdict(params)
     _emit(render_report(doc), args.out)
     return EXIT_OK
 

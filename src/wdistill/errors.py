@@ -23,10 +23,6 @@ class DegenerateCoefficientError(SpecError):
     """A coefficient is exactly zero; the distillation plan is undefined."""
 
 
-class TruncationError(ValidationError):
-    """The Fock cutoff is too small to hold a populated photon level."""
-
-
 class UnsupportedModeError(ValidationError):
     """Closed-form cavity evolution requested outside resonance."""
 

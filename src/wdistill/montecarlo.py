@@ -7,10 +7,12 @@ function of (seed, trial index, draw index), so results are bit-identical
 regardless of execution order, chunking, or parallelism.
 
 A trial measures its ancillas/cavities in protocol order against the exact
-conditional Born probabilities (one uniform per measured site, matched to
-the inverse-CDF convention of statevec.sample_site) and stops at the first
-non-|0>/non-vacuum detection; failure branches cannot recover, so this
-truncation does not change the success/failure classification.
+conditional Born probabilities, one uniform u per measured site. The
+outcome is the inverse CDF in outcome-index order: the first index whose
+cumulative probability exceeds u, clamped to the last outcome in case the
+CDF rounds below 1. A trial stops at the first non-|0>/non-vacuum
+detection; failure branches cannot recover, so this truncation does not
+change the success/failure classification.
 """
 from __future__ import annotations
 
@@ -102,9 +104,9 @@ def run_trials(spec: WPrimeSpec, config: TrialConfig) -> TrialStats:
     success pattern.
     """
     if config.scheme == "cavity":
-        state, _, sites, _ = evolved_physical_state(spec, config.params)
+        state, sites, _ = evolved_physical_state(spec, config.params)
     else:
-        state, _, sites = evolved_joint_state(spec)
+        state, sites = evolved_joint_state(spec)
     cdfs = _zero_prefix_cdfs(state, sites)
     n_steps = len(sites)
 

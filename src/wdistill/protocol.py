@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -31,6 +31,7 @@ from .statevec import (
     drop_collapsed_sites,
     fidelity,
     project_site,
+    single_excitation_state,
 )
 
 MAG_TIE_TOL = 1e-12
@@ -44,6 +45,8 @@ class WPrimeSpec:
 
     n: int
     coeffs: tuple[complex, ...]
+    # the party that keeps its amplitude, see min_coefficient_index
+    min_index: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -56,7 +59,12 @@ class WPrimeSpec:
         total = sum(abs(c) ** 2 for c in coeffs)
         if abs(total - 1.0) > 1e-9:
             raise SpecError(f"sum |c_i|^2 = {total!r}, expected 1 within 1e-9")
+        if 0 in coeffs:
+            raise DegenerateCoefficientError(
+                f"coefficient {coeffs.index(0)} is zero; the distillation probability would vanish"
+            )
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "min_index", min_coefficient_index(coeffs))
 
     @classmethod
     def from_coefficients(cls, coeffs) -> "WPrimeSpec":
@@ -98,10 +106,7 @@ def make_w_state(n: int) -> StateVector:
     if n < 2:
         raise ValidationError(f"W state needs n >= 2, got {n}")
     layout = SubsystemLayout((2,) * n, tuple(f"q{i + 1}" for i in range(n)))
-    amps = np.zeros(layout.size, dtype=np.complex128)
-    for m in range(n):
-        amps[_one_hot_index(layout, m)] = 1.0 / math.sqrt(n)
-    return StateVector(layout, amps)
+    return single_excitation_state(layout, [1.0 / math.sqrt(n)] * n)
 
 
 def min_coefficient_index(coeffs, tol: float = MAG_TIE_TOL) -> int:
@@ -123,10 +128,7 @@ def build_step_unitary(spec: WPrimeSpec, k: int) -> StepPlan:
     """
     if not 0 <= k < spec.n:
         raise ValidationError(f"party index {k} out of range")
-    if spec.coeffs[k] == 0:
-        raise DegenerateCoefficientError(f"coefficient {k} is zero")
-    j = min_coefficient_index(spec.coeffs)
-    if k == j:
+    if k == spec.min_index:
         raise ValidationError(f"party {k} holds the minimal coefficient and must not rotate")
     z = min(abs(c) for c in spec.coeffs) / spec.coeffs[k]
     s = math.sqrt(max(0.0, 1.0 - abs(z) ** 2))
@@ -144,14 +146,8 @@ def build_step_unitary(spec: WPrimeSpec, k: int) -> StepPlan:
 
 def plan(spec: WPrimeSpec) -> tuple[int, tuple[StepPlan, ...]]:
     """Skipped-party index and the N-1 step unitaries, in ascending party order."""
-    for i, c in enumerate(spec.coeffs):
-        if c == 0:
-            raise DegenerateCoefficientError(
-                f"coefficient {i} is zero; the distillation probability would vanish"
-            )
-    j = min_coefficient_index(spec.coeffs)
-    steps = tuple(build_step_unitary(spec, k) for k in range(spec.n) if k != j)
-    return j, steps
+    steps = tuple(build_step_unitary(spec, k) for k in range(spec.n) if k != spec.min_index)
+    return spec.min_index, steps
 
 
 def analytic_success_probability(spec: WPrimeSpec) -> float:
@@ -159,39 +155,29 @@ def analytic_success_probability(spec: WPrimeSpec) -> float:
     return spec.n * min(abs(c) ** 2 for c in spec.coeffs)
 
 
-def _one_hot_index(layout: SubsystemLayout, site: int) -> int:
-    occ = [0] * layout.n_sites
-    occ[site] = 1
-    return layout.ravel(occ)
-
-
 def joint_layout(spec: WPrimeSpec) -> tuple[SubsystemLayout, tuple[int, ...]]:
     """Layout of N particles followed by N-1 ancillas, plus the ancilla sites
     in the order the steps use them (ascending acting-party index)."""
-    j = min_coefficient_index(spec.coeffs)
-    users = [k for k in range(spec.n) if k != j]
+    users = [k for k in range(spec.n) if k != spec.min_index]
     labels = tuple(f"q{i + 1}" for i in range(spec.n)) + tuple(f"a{k + 1}" for k in users)
     layout = SubsystemLayout((2,) * (2 * spec.n - 1), labels)
     anc_sites = tuple(spec.n + i for i in range(len(users)))
     return layout, anc_sites
 
 
-def evolved_joint_state(spec: WPrimeSpec) -> tuple[StateVector, int, tuple[int, ...]]:
+def evolved_joint_state(spec: WPrimeSpec) -> tuple[StateVector, tuple[int, ...]]:
     """State of particles + ancillas after all step unitaries, pre-measurement.
 
-    Returns (state, skipped index j, ancilla sites in measurement order).
-    Shared by the exact runner and the trajectory sampler.
+    Returns (state, ancilla sites in measurement order). Shared by the exact
+    runner and the trajectory sampler.
     """
-    j, steps = plan(spec)
+    _, steps = plan(spec)
     layout, anc_sites = joint_layout(spec)
-    amps = np.zeros(layout.size, dtype=np.complex128)
-    for m, c in enumerate(spec.coeffs):
-        amps[_one_hot_index(layout, m)] = c
-    state = StateVector(layout, amps)
+    state = single_excitation_state(layout, spec.coeffs)
     for step, anc in zip(steps, anc_sites):
         # the step unitary's basis puts the ancilla bit high, see build_step_unitary
         state = apply_local(state, step.u_k, (anc, step.k))
-    return state, j, anc_sites
+    return state, anc_sites
 
 
 def measure_all_branches(
@@ -265,7 +251,7 @@ def phase_correction(
         raise ValidationError("phase correction expects qubit sites only")
     if not 0 <= j < len(dims):
         raise ValidationError(f"site {j} out of range")
-    one_hot = [_one_hot_index(state.layout, m) for m in range(len(dims))]
+    one_hot = [1 << (len(dims) - 1 - m) for m in range(len(dims))]  # |0..1_m..0>, qubits
     off_sector = np.delete(np.abs(state.amps), one_hot)
     if off_sector.size and float(off_sector.max()) > 1e-9:
         raise ValidationError("state has support outside the single-excitation sector")
@@ -287,15 +273,20 @@ def phase_correction(
     return StateVector(state.layout, amps)
 
 
-def run_exact(spec: WPrimeSpec) -> DistillationReport:
-    """Run the full post-selected protocol exactly, enumerating every branch.
+def distill(
+    spec: WPrimeSpec,
+    state: StateVector,
+    measured_sites: tuple[int, ...],
+    reference_phases: Mapping[int, float] | None = None,
+) -> DistillationReport:
+    """Post-select an evolved state on every measured site reading 0, then
+    phase-correct it with the given ledger; shared by both realizations.
 
-    Cross-checks the simulated success probability against the closed form
-    and the corrected output against the uniform W state, raising
-    ToleranceError on any breach.
+    Cross-checks the branch sum, the success probability against the closed
+    form and the output against the uniform W state; raises ToleranceError
+    on any breach.
     """
-    state, j, anc_sites = evolved_joint_state(spec)
-    records, success_prob, success_particles = measure_all_branches(state, anc_sites, spec.n)
+    records, success_prob, success_particles = measure_all_branches(state, measured_sites, spec.n)
 
     total = sum(r.probability for r in records)
     if abs(total - 1.0) > PROB_MATCH_TOL:
@@ -308,7 +299,8 @@ def run_exact(spec: WPrimeSpec) -> DistillationReport:
     if success_particles is None:
         raise ToleranceError("success branch has zero probability for a valid specification")
 
-    final_state = phase_correction(success_particles, j, spec.coeffs[j])
+    j = spec.min_index
+    final_state = phase_correction(success_particles, j, spec.coeffs[j], reference_phases)
     fid = fidelity(final_state, make_w_state(spec.n))
     if abs(fid - 1.0) > FIDELITY_TOL:
         raise ToleranceError(f"corrected output fidelity {fid!r} is not 1 within {FIDELITY_TOL}")
@@ -320,3 +312,8 @@ def run_exact(spec: WPrimeSpec) -> DistillationReport:
         fidelity_with_w=fid,
         min_index=j,
     )
+
+
+def run_exact(spec: WPrimeSpec) -> DistillationReport:
+    """Run the full post-selected protocol exactly, enumerating every branch."""
+    return distill(spec, *evolved_joint_state(spec))

@@ -25,7 +25,14 @@ INGEST_NORM_TOL = 1e-9
 
 
 def _max_dim() -> int:
-    return int(os.environ.get("WDISTILL_MAX_DIM", DEFAULT_MAX_DIM))
+    raw = os.environ.get("WDISTILL_MAX_DIM", str(DEFAULT_MAX_DIM))
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValidationError(f"WDISTILL_MAX_DIM must be a positive integer, got {raw!r}")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -111,6 +118,14 @@ def basis_state(layout: SubsystemLayout, occupation) -> StateVector:
     return StateVector(layout, amps)
 
 
+def single_excitation_state(layout: SubsystemLayout, coeffs) -> StateVector:
+    """sum_m coeffs[m] |0..0 1_m 0..0>: site m excited, every other site in 0."""
+    amps = np.zeros(layout.size, dtype=np.complex128)
+    for m, c in enumerate(coeffs):
+        amps[layout.ravel([int(s == m) for s in range(layout.n_sites)])] = c
+    return StateVector(layout, amps)
+
+
 def apply_local(state: StateVector, op, sites) -> StateVector:
     """Apply a matrix to the listed sites (identity elsewhere).
 
@@ -172,22 +187,6 @@ def site_distribution(state: StateVector, site: int) -> np.ndarray:
         raise ValidationError(f"site {site} out of range")
     t = state.tensor()
     return np.array([_outcome_probability(t, site, o) for o in range(dims[site])])
-
-
-def sample_site(state: StateVector, site: int, rng: np.random.Generator) -> tuple[int, float, StateVector | None]:
-    """Draw a measurement outcome for one site with Born probabilities.
-
-    Consumes exactly one uniform draw from rng; the outcome is chosen by
-    inverse CDF in outcome-index order, and the returned (probability,
-    collapsed) pair is exactly the matching project_site result.
-    """
-    _require_normalized(state)
-    probs = site_distribution(state, site)
-    u = rng.random()
-    outcome = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-    outcome = min(outcome, state.layout.dims[site] - 1)  # cumsum may round below 1
-    prob, collapsed = project_site(state, site, outcome)
-    return outcome, prob, collapsed
 
 
 def inner_product(x: StateVector, y: StateVector) -> complex:

@@ -219,7 +219,7 @@ def test_criterion_8_property_suites(tmp_path):
     # failure branches collapse the particles to |00...0>
     for _ in range(5):
         spec = random_spec(rng, int(rng.integers(2, 6)))
-        state, _, anc_sites = evolved_joint_state(spec)
+        state, anc_sites = evolved_joint_state(spec)
         for pos in range(len(anc_sites)):
             pattern = [0] * len(anc_sites)
             pattern[pos] = 1

@@ -6,14 +6,12 @@ import pytest
 
 from conftest import random_spec
 from wdistill.cavity import (
-    AtomicWPrimeSpec,
     JCParams,
     evolved_physical_state,
     jc_hamiltonian,
     jc_propagator_closed,
     optimal_interaction_time,
     physical_plan,
-    ramsey_phase,
     run_physical,
 )
 from wdistill.errors import (
@@ -22,8 +20,7 @@ from wdistill.errors import (
     ValidationError,
 )
 from wdistill.linalg import is_unitary, propagator
-from wdistill.protocol import min_coefficient_index, run_exact
-from wdistill.statevec import SubsystemLayout, basis_state
+from wdistill.protocol import WPrimeSpec, min_coefficient_index, run_exact
 
 
 def total_excitation(fock_dim: int, index: int) -> int:
@@ -122,7 +119,7 @@ class TestJCPropagatorClosed:
 class TestOptimalInteractionTime:
     def test_minimal_magnitude_gives_zero_time(self):
         # tie on the minimal magnitude: party 2 still holds |c_k| = min
-        spec = AtomicWPrimeSpec.from_coefficients([math.sqrt(0.5), 0.5, 0.5])
+        spec = WPrimeSpec.from_coefficients([math.sqrt(0.5), 0.5, 0.5])
         assert optimal_interaction_time(spec, 2, 1.0).delta_t == 0.0
 
     def test_worked_value(self, worked_spec):
@@ -157,8 +154,8 @@ class TestOptimalInteractionTime:
         assert optimal_interaction_time(worked_spec, 0, 1.0).accrued_phases is None
 
     def test_rejects_zero_coefficient(self):
-        spec = AtomicWPrimeSpec(2, (1.0, 0.0))
         with pytest.raises(DegenerateCoefficientError):
+            spec = WPrimeSpec(2, (1.0, 0.0))
             optimal_interaction_time(spec, 1, 1.0)
 
     def test_rejects_minimal_party_and_bad_coupling(self, worked_spec):
@@ -166,32 +163,6 @@ class TestOptimalInteractionTime:
             optimal_interaction_time(worked_spec, 2, 1.0)
         with pytest.raises(ValidationError):
             optimal_interaction_time(worked_spec, 0, 0.0)
-
-
-class TestRamseyPhase:
-    def test_zero_angle_identity(self):
-        state = basis_state(SubsystemLayout((2, 2)), (1, 0))
-        np.testing.assert_allclose(ramsey_phase(state, 0, 0.0).amps, state.amps, atol=0)
-
-    def test_full_turn_identity(self):
-        rng = np.random.default_rng(4)
-        amps = rng.normal(size=4) + 1j * rng.normal(size=4)
-        amps /= np.linalg.norm(amps)
-        state = basis_state(SubsystemLayout((2, 2)), (0, 0))
-        state = type(state)(state.layout, amps)
-        out = ramsey_phase(state, 1, 2 * math.pi)
-        assert np.max(np.abs(out.amps - state.amps)) <= 1e-15
-
-    def test_applies_phase_to_excited_level(self):
-        state = basis_state(SubsystemLayout((2, 2)), (1, 0))
-        out = ramsey_phase(state, 0, math.pi / 3)
-        idx = state.layout.ravel((1, 0))
-        assert out.amps[idx] == pytest.approx(cmath.exp(1j * math.pi / 3), abs=1e-15)
-
-    def test_rejects_non_atomic_site(self):
-        state = basis_state(SubsystemLayout((2, 3)), (0, 0))
-        with pytest.raises(ValidationError):
-            ramsey_phase(state, 1, 0.5)
 
 
 class TestRunPhysical:
@@ -204,7 +175,7 @@ class TestRunPhysical:
         assert dts == pytest.approx([0.8860771237926137, 0.6154797086703874], abs=1e-12)
 
     def test_uniform_spec_needs_no_interaction(self):
-        spec = AtomicWPrimeSpec.from_coefficients([0.5] * 4)
+        spec = WPrimeSpec.from_coefficients([0.5] * 4)
         report = run_physical(spec, JCParams(omega=10, omega0=10, epsilon=2))
         assert all(p.delta_t == 0.0 for p in report.cavity_steps)
         assert report.success_probability_exact == pytest.approx(1.0, abs=1e-10)
@@ -240,7 +211,7 @@ class TestRunPhysical:
             spec = random_spec(rng, int(rng.integers(2, 6)))
             w = rng.uniform(1.0, 50.0)
             params = JCParams(omega=w, omega0=w, epsilon=rng.uniform(0.5, 4.0))
-            state, j, _, plans = evolved_physical_state(spec, params)
+            state, _, plans = evolved_physical_state(spec, params)
             min_mag = min(abs(c) for c in spec.coeffs)
             for p in plans:
                 occ = [0] * state.layout.n_sites
@@ -266,7 +237,7 @@ class TestRunPhysical:
             math.sqrt(0.35) * cmath.exp(-1j * 0.4),
             math.sqrt(0.25) * cmath.exp(1j * 0.77),
         ]
-        spec = AtomicWPrimeSpec.from_coefficients(coeffs)
+        spec = WPrimeSpec.from_coefficients(coeffs)
         report = run_physical(spec, JCParams(omega=13.0, omega0=13.0, epsilon=0.9))
         assert report.fidelity_with_w == pytest.approx(1.0, abs=1e-12)
         # the composed Ramsey pulses leave every amplitude real, positive, equal

@@ -263,6 +263,13 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "run_exact", boom)
         assert main(["distill", worked_path]) == 3
 
+    @pytest.mark.parametrize("value", ["abc", "2.5", "0", "-4"])
+    def test_malformed_max_dim_exits_2(self, capsys, monkeypatch, worked_path, value):
+        monkeypatch.setenv("WDISTILL_MAX_DIM", value)
+        assert main(["distill", worked_path]) == 2
+        err = capsys.readouterr().err
+        assert "WDISTILL_MAX_DIM" in err and repr(value) in err
+
     def test_emitted_codes_are_in_contract(self, tmp_path, worked_path):
         observed = {
             main(["distill", worked_path]),

@@ -28,7 +28,7 @@ def wilson_oracle(p: float, n: int, z: float) -> tuple[float, float]:
 def reference_walk(spec: WPrimeSpec, uniforms: np.ndarray) -> list[tuple[int, ...]]:
     """Measure every ancilla of every trial by chained projections (no early
     stop), using the same inverse-CDF convention as the sampler."""
-    state, _, sites = evolved_joint_state(spec)
+    state, sites = evolved_joint_state(spec)
     patterns = []
     for row in uniforms:
         current = state

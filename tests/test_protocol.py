@@ -92,8 +92,8 @@ class TestBuildStepUnitary:
         assert is_unitary(step.u_k, 1e-12)
 
     def test_rejects_zero_coefficient(self):
-        spec = WPrimeSpec.from_coefficients([1.0, 0.0])
         with pytest.raises(DegenerateCoefficientError):
+            spec = WPrimeSpec.from_coefficients([1.0, 0.0])
             build_step_unitary(spec, 1)
 
     def test_rejects_minimal_party(self, worked_spec):
@@ -283,7 +283,7 @@ class TestRunExact:
                 psi[1 << (n_sites - 1 - m)] = c
             for step, anc in zip(steps, anc_sites):
                 psi = embed(step.u_k, n_sites, anc, step.k) @ psi
-            state, _, _ = evolved_joint_state(spec)
+            state, _ = evolved_joint_state(spec)
             assert np.max(np.abs(psi - state.amps)) < 1e-13
             anc_mask = sum(1 << (n_sites - 1 - s) for s in anc_sites)
             p_succ = sum(abs(a) ** 2 for i, a in enumerate(psi) if (i & anc_mask) == 0)

@@ -14,7 +14,6 @@ from wdistill.statevec import (
     fidelity,
     inner_product,
     project_site,
-    sample_site,
     site_distribution,
 )
 
@@ -203,36 +202,6 @@ class TestProjectSite:
         state = StateVector(SubsystemLayout((2,)), np.array([2.0, 0.0]))
         with pytest.raises(ValidationError):
             project_site(state, 0, 0)
-
-
-class TestSampleSite:
-    def test_deterministic_state(self):
-        state = basis_state(SubsystemLayout((2,)), (1,))
-        outcome, prob, collapsed = sample_site(state, 0, np.random.default_rng(123))
-        assert outcome == 1 and prob == pytest.approx(1.0, abs=1e-15)
-        np.testing.assert_allclose(collapsed.amps, state.amps, atol=1e-15)
-
-    def test_born_frequencies(self):
-        layout = SubsystemLayout((2,))
-        state = StateVector(layout, np.array([1.0, 1.0]) / math.sqrt(2))
-        rng = np.random.default_rng(2024)
-        draws = 100_000
-        ones = sum(sample_site(state, 0, rng)[0] for _ in range(draws))
-        assert abs(ones / draws - 0.5) <= 4 * math.sqrt(0.25 / draws)
-
-    def test_seed_reproducibility(self):
-        rng = np.random.default_rng(77)
-        state = random_state(rng, (2, 3))
-        seq1 = [sample_site(state, 1, np.random.default_rng(42))[0] for _ in range(20)]
-        seq2 = [sample_site(state, 1, np.random.default_rng(42))[0] for _ in range(20)]
-        assert seq1 == seq2
-
-    def test_consumes_one_draw(self):
-        state = basis_state(SubsystemLayout((2, 2)), (0, 1))
-        rng = np.random.default_rng(5)
-        sample_site(state, 0, rng)
-        # the next draw from the same stream is the second raw uniform
-        assert rng.random() == np.random.default_rng(5).random(2)[1]
 
 
 class TestOverlap:
