@@ -7,9 +7,13 @@ resonant Rabi oscillation: |c_k| cos(eps * dt_k) = min|c_i|. Detecting every
 cavity in vacuum post-selects the W state; the leftover e^{+-i w dt/2}
 phases are recorded per step and repaired by classical Ramsey-zone pulses.
 
+Each pass conserves excitation number, so the simulation runs in the same
+single-excitation sector as the abstract scheme: atom k's pass acts on
+{|e,0>, |g,1>} as a 2x2 block and on |g,0> as a phase, whatever the Fock
+cutoff.
+
 hbar = 1 throughout. The closed-form propagator requires exact resonance
-(w = w0); off-resonant dynamics are reachable only through the generic
-eigendecomposition propagator and sit outside the protocol.
+(w = w0); off-resonant dynamics sit outside the protocol.
 """
 from __future__ import annotations
 
@@ -20,8 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import UnsupportedModeError, ValidationError
-from .protocol import DistillationReport, WPrimeSpec, distill
-from .statevec import StateVector, SubsystemLayout, apply_local, single_excitation_state
+from .protocol import DistillationReport, SectorState, WPrimeSpec, distill, evolve_sector
 
 RESONANCE_TOL = 1e-12
 
@@ -72,24 +75,6 @@ def _jc_index(fock_dim: int, atom: int, n: int) -> int:
     return atom * fock_dim + n
 
 
-def jc_hamiltonian(params: JCParams) -> np.ndarray:
-    """Atom-cavity Hamiltonian w a+a + w0 Sz + eps (a S+ + a+ S-), truncated.
-
-    Dimension 2*(fock_cutoff+1) on (atom tensor fock) ordering; Sz has
-    eigenvalues +-1/2 so bare atomic energies are +-w0/2.
-    """
-    d = params.fock_cutoff + 1
-    h = np.zeros((2 * d, 2 * d), dtype=np.complex128)
-    for n in range(d):
-        h[_jc_index(d, 0, n), _jc_index(d, 0, n)] = params.omega * n - params.omega0 / 2
-        h[_jc_index(d, 1, n), _jc_index(d, 1, n)] = params.omega * n + params.omega0 / 2
-    for n in range(d - 1):
-        g = params.epsilon * math.sqrt(n + 1)
-        h[_jc_index(d, 0, n + 1), _jc_index(d, 1, n)] = g
-        h[_jc_index(d, 1, n), _jc_index(d, 0, n + 1)] = g
-    return h
-
-
 def jc_propagator_closed(params: JCParams, t: float) -> np.ndarray:
     """exp(-i H t) at resonance, assembled sector by sector.
 
@@ -100,7 +85,7 @@ def jc_propagator_closed(params: JCParams, t: float) -> np.ndarray:
     if not params.is_resonant:
         raise UnsupportedModeError(
             "closed-form propagator requires resonance (omega == omega0); "
-            "use linalg.propagator on jc_hamiltonian for off-resonant dynamics"
+            "off-resonant dynamics are outside the protocol"
         )
     d = params.fock_cutoff + 1
     t = float(t)
@@ -132,7 +117,7 @@ def optimal_interaction_time(
         raise ValidationError(f"party index {k} out of range")
     if k == spec.min_index:
         raise ValidationError(f"party {k} holds the minimal coefficient and must not interact")
-    ratio = min(abs(c) for c in spec.coeffs) / abs(spec.coeffs[k])
+    ratio = spec.min_magnitude / abs(spec.coeffs[k])
     delta_t = math.acos(min(1.0, ratio)) / epsilon
     phases = None
     if omega is not None:
@@ -141,37 +126,35 @@ def optimal_interaction_time(
     return CavityStepPlan(k=k, delta_t=delta_t, accrued_phases=phases)
 
 
-def physical_plan(spec: WPrimeSpec, params: JCParams) -> tuple[int, tuple[CavityStepPlan, ...]]:
-    """Skipped-party index and per-party interaction times, ascending order."""
-    plans = tuple(
+def physical_plan(spec: WPrimeSpec, params: JCParams) -> tuple[CavityStepPlan, ...]:
+    """Per-party interaction times in ascending party order, skipping spec.min_index."""
+    return tuple(
         optimal_interaction_time(spec, k, params.epsilon, omega=params.omega)
         for k in range(spec.n)
         if k != spec.min_index
     )
-    return spec.min_index, plans
 
 
 def evolved_physical_state(
     spec: WPrimeSpec, params: JCParams
-) -> tuple[StateVector, tuple[int, ...], tuple[CavityStepPlan, ...]]:
+) -> tuple[SectorState, tuple[CavityStepPlan, ...]]:
     """Atoms + cavities after every atom-cavity pass, before photodetection.
 
-    Returns (state, cavity sites in measurement order, step plans). Shared by
-    the physical runner and the trajectory sampler.
+    Returns (state, step plans); cavity t belongs to plans[t]. Shared by the
+    physical runner and the trajectory sampler.
     """
     if not params.is_resonant:
         raise UnsupportedModeError("physical protocol requires resonant parameters")
-    _, plans = physical_plan(spec, params)
-    n = spec.n
-    fock_dim = params.fock_cutoff + 1
-    labels = tuple(f"atom{i + 1}" for i in range(n)) + tuple(f"cav{p.k + 1}" for p in plans)
-    layout = SubsystemLayout((2,) * n + (fock_dim,) * (n - 1), labels)
-    state = single_excitation_state(layout, spec.coeffs)
-    cavity_sites = tuple(n + i for i in range(n - 1))
-    for plan_k, cav in zip(plans, cavity_sites):
-        u = jc_propagator_closed(params, plan_k.delta_t)
-        state = apply_local(state, u, (plan_k.k, cav))
-    return state, cavity_sites, plans
+    plans = physical_plan(spec, params)
+    d = params.fock_cutoff + 1
+    state = evolve_sector(
+        spec.coeffs,
+        ((p.k, jc_propagator_closed(params, p.delta_t)) for p in plans),
+        vac=_jc_index(d, 0, 0),
+        pair=(_jc_index(d, 1, 0), _jc_index(d, 0, 1)),
+        mode_dim=d,
+    )
+    return state, plans
 
 
 def run_physical(spec: WPrimeSpec, params: JCParams) -> DistillationReport:
@@ -181,10 +164,10 @@ def run_physical(spec: WPrimeSpec, params: JCParams) -> DistillationReport:
     unaffected-minus-acting angle (omega*dt_k) relative to the spectator
     terms; the shared runner undoes exactly that phase on each atom.
     """
-    state, cavity_sites, plans = evolved_physical_state(spec, params)
+    state, plans = evolved_physical_state(spec, params)
     ledger = {
         p.k: cmath.phase(spec.coeffs[p.k])
         - (p.accrued_phases["unaffected"] - p.accrued_phases["acting"])
         for p in plans
     }
-    return replace(distill(spec, state, cavity_sites, ledger), cavity_steps=plans)
+    return replace(distill(spec, state, ledger), cavity_steps=plans)

@@ -24,6 +24,8 @@ EXIT_USAGE = 1
 EXIT_BAD_SPEC = 2
 EXIT_NUMERICAL = 3
 
+# 2: `branches` lists only the patterns with nonzero probability
+REPORT_SCHEMA = 2
 FILE_NORM_TOL = 1e-6
 WILSON_Z = 1.96
 
@@ -137,7 +139,7 @@ def load_spec(path: str, allow_unnormalized: bool = False) -> tuple[WPrimeSpec, 
 def _branch_rows(report: DistillationReport) -> list[dict]:
     return [
         {
-            "pattern": "".join(str(o) for o in r.pattern),
+            "pattern": r.digits,
             "probability": float(r.probability),
             "description": r.description,
         }
@@ -158,6 +160,7 @@ def _exact_report(spec: WPrimeSpec, factor: float, scheme: str, report: Distilla
     doc = _base_report(spec, factor, scheme)
     doc.update(
         {
+            "report_schema": REPORT_SCHEMA,
             "min_index": report.min_index + 1,
             "success_probability_analytic": report.success_probability_analytic,
             "success_probability_exact": report.success_probability_exact,
@@ -251,12 +254,10 @@ def cmd_sweep(args) -> int:
 def cmd_wstate(args) -> int:
     if args.n < 2:
         raise UsageError(f"--n must be >= 2, got {args.n}")
-    state = make_w_state(args.n)
-    rows = []
-    for idx, amp in enumerate(state.amps):
-        if amp != 0:
-            label = "".join(str(o) for o in state.layout.unravel(idx))
-            rows.append(f"{label} {amp.real:.8f}")
+    n = args.n
+    amps = make_w_state(n)
+    # ascending ket order: the excited party runs from last to first
+    rows = [f"{'0' * m}1{'0' * (n - 1 - m)} {amps[m].real:.8f}" for m in reversed(range(n))]
     _emit("\n".join(rows) + "\n", args.out)
     return EXIT_OK
 

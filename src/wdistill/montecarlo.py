@@ -23,8 +23,13 @@ import numpy as np
 
 from .cavity import JCParams, evolved_physical_state
 from .errors import ToleranceError, ValidationError
-from .protocol import WPrimeSpec, analytic_success_probability, evolved_joint_state
-from .statevec import project_site, site_distribution
+from .protocol import (
+    SectorState,
+    WPrimeSpec,
+    analytic_success_probability,
+    evolved_joint_state,
+    zero_prefix_weights,
+)
 
 SCHEMES = ("abstract", "cavity")
 
@@ -82,17 +87,19 @@ def trial_uniforms(seed: int, trials: int, draws: int) -> np.ndarray:
     return out
 
 
-def _zero_prefix_cdfs(state, sites) -> list[np.ndarray]:
-    """Cumulative conditional outcome distributions of each measured site,
-    given that every earlier site read 0."""
-    cdfs = []
-    current = state
-    for s in sites:
-        cdfs.append(np.cumsum(site_distribution(current, s)))
-        _, current = project_site(current, s, 0)
-        if current is None:
-            raise ToleranceError("all-zero measurement prefix has zero probability")
-    return cdfs
+def _zero_prefix_cdfs(state: SectorState) -> np.ndarray:
+    """Cumulative conditional outcome distributions of each measured mode,
+    given that every earlier mode read 0 (row t: mode t over its mode_dim
+    outcomes). Inside the single-excitation sector only outcomes 0 and 1
+    occur: mode t reads 1 with probability |a_t|^2 / R[t], R being the
+    running remaining weight of zero_prefix_weights."""
+    remaining = zero_prefix_weights(state)
+    if remaining[-1] == 0.0:
+        raise ToleranceError("all-zero measurement prefix has zero probability")
+    probs = np.zeros((len(remaining) - 1, state.mode_dim))
+    probs[:, 0] = remaining[1:] / remaining[:-1]
+    probs[:, 1] = np.abs(state.modes) ** 2 / remaining[:-1]
+    return np.cumsum(probs, axis=1)
 
 
 def run_trials(spec: WPrimeSpec, config: TrialConfig) -> TrialStats:
@@ -104,11 +111,11 @@ def run_trials(spec: WPrimeSpec, config: TrialConfig) -> TrialStats:
     success pattern.
     """
     if config.scheme == "cavity":
-        state, sites, _ = evolved_physical_state(spec, config.params)
+        state = evolved_physical_state(spec, config.params)[0]
     else:
-        state, sites = evolved_joint_state(spec)
-    cdfs = _zero_prefix_cdfs(state, sites)
-    n_steps = len(sites)
+        state = evolved_joint_state(spec)[0]
+    cdfs = _zero_prefix_cdfs(state)
+    n_steps = len(cdfs)
 
     u = trial_uniforms(config.seed, config.trials, n_steps)
     outcomes = np.empty((config.trials, n_steps), dtype=np.int64)

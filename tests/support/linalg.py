@@ -1,4 +1,4 @@
-"""Small dense complex linear algebra used by the simulator.
+"""Small dense complex linear algebra, the tests' reference for the simulator.
 
 Everything here operates on plain numpy arrays (complex128, 2-D for
 matrices). Matrices in this package are tiny (<= ~64x64), so clarity and
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
+from wdistill.errors import ShapeError, ValidationError
 
 ALGEBRAIC_TOL = 1e-12
 DECOMP_TOL = 1e-10

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
+from wdistill.errors import ShapeError, ValidationError
 
 # Dense amplitudes: the largest system here is ~2^19 entries. The cap guards
 # against accidental huge allocations; override with WDISTILL_MAX_DIM.

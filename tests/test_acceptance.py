@@ -10,25 +10,24 @@ import time
 import numpy as np
 
 from conftest import WORKED_COEFFS, random_spec
+from support import dense
+from support.linalg import is_unitary, propagator
+from support.statevec import StateVector, apply_local, drop_collapsed_sites, project_site
 from wdistill.cavity import (
     JCParams,
-    jc_hamiltonian,
     jc_propagator_closed,
     optimal_interaction_time,
     run_physical,
 )
 from wdistill.cli import main
-from wdistill.linalg import is_unitary, propagator
 from wdistill.montecarlo import TrialConfig, run_trials
 from wdistill.protocol import (
     WPrimeSpec,
     analytic_success_probability,
-    evolved_joint_state,
     min_coefficient_index,
     plan,
     run_exact,
 )
-from wdistill.statevec import drop_collapsed_sites, project_site
 
 
 def _finish(num: int, name: str, failures: list[str], elapsed: float | None = None):
@@ -124,7 +123,7 @@ def test_criterion_5_jc_oracle():
         )
         t = rng.uniform(0.0, 10.0 / params.epsilon)
         closed = jc_propagator_closed(params, t)
-        oracle = propagator(jc_hamiltonian(params), t)
+        oracle = propagator(dense.jc_hamiltonian(params), t)
         dev = np.max(np.abs(closed - oracle))
         if dev > 1e-10:
             failures.append(f"propagator deviation {dev!r}")
@@ -184,7 +183,7 @@ def test_criterion_8_property_suites(tmp_path):
     # unitarity of every constructed matrix
     for _ in range(20):
         spec = random_spec(rng, int(rng.integers(2, 7)))
-        for step in plan(spec)[1]:
+        for step in plan(spec):
             if not is_unitary(step.u_k, 1e-12):
                 failures.append(f"step unitary for n={spec.n} fails the 1e-12 check")
         w = rng.uniform(1.0, 60.0)
@@ -192,14 +191,11 @@ def test_criterion_8_property_suites(tmp_path):
         if not is_unitary(jc_propagator_closed(params, rng.uniform(0.0, 5.0)), 1e-12):
             failures.append("cavity propagator fails the 1e-12 unitarity check")
 
-    # step-order invariance of the evolved joint state
-    from wdistill.statevec import StateVector, apply_local
-    from wdistill.protocol import joint_layout
-
+    # step-order invariance of the evolved (dense) joint state
     for _ in range(5):
         spec = random_spec(rng, int(rng.integers(3, 7)))
-        j, steps = plan(spec)
-        layout, anc_sites = joint_layout(spec)
+        steps = plan(spec)
+        layout, anc_sites = dense.joint_layout(spec)
         amps = np.zeros(layout.size, dtype=complex)
         for m, c in enumerate(spec.coeffs):
             occ = [0] * layout.n_sites
@@ -216,10 +212,10 @@ def test_criterion_8_property_suites(tmp_path):
         if np.max(np.abs(forward.amps - backward.amps)) > 1e-12:
             failures.append("step order changed the evolved state beyond 1e-12")
 
-    # failure branches collapse the particles to |00...0>
+    # failure branches of the dense state collapse the particles to |00...0>
     for _ in range(5):
         spec = random_spec(rng, int(rng.integers(2, 6)))
-        state, anc_sites = evolved_joint_state(spec)
+        state, anc_sites = dense.evolved_joint_state(spec)
         for pos in range(len(anc_sites)):
             pattern = [0] * len(anc_sites)
             pattern[pos] = 1
@@ -241,7 +237,7 @@ def test_criterion_8_property_suites(tmp_path):
     rep_b = run_physical(spec, JCParams(omega=93.0, omega0=93.0, epsilon=1.1))
     if abs(rep_a.success_probability_exact - rep_b.success_probability_exact) > 1e-12:
         failures.append("success probability depends on the mode frequency")
-    if np.max(np.abs(rep_a.final_state.amps - rep_b.final_state.amps)) > 1e-12:
+    if np.max(np.abs(rep_a.final_state - rep_b.final_state)) > 1e-12:
         failures.append("corrected final state depends on the mode frequency")
 
     # sampled runs are deterministic down to the report bytes

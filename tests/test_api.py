@@ -1,9 +1,23 @@
+import importlib
+
 import pytest
 
 import wdistill
-from wdistill import cavity, errors, statevec
+from wdistill import cavity, errors, protocol
 
 REMOVED = ("AtomicWPrimeSpec", "ramsey_phase", "sample_site", "TruncationError")
+# dense state-vector names: the package runs in the single-excitation sector,
+# and these live on only as the test oracle in tests/support
+DENSE = (
+    "StateVector",
+    "SubsystemLayout",
+    "apply_local",
+    "basis_state",
+    "fidelity",
+    "inner_product",
+    "project_site",
+    "jc_hamiltonian",
+)
 
 
 def test_every_exported_name_resolves():
@@ -15,5 +29,18 @@ def test_every_exported_name_resolves():
 @pytest.mark.parametrize("name", REMOVED)
 def test_removed_name_is_gone(name):
     assert name not in wdistill.__all__
-    for module in (wdistill, cavity, errors, statevec):
+    for module in (wdistill, cavity, errors, protocol):
         assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+@pytest.mark.parametrize("name", DENSE)
+def test_dense_name_left_the_package(name):
+    assert name not in wdistill.__all__
+    for module in (wdistill, cavity):
+        assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+@pytest.mark.parametrize("module", ["wdistill.statevec", "wdistill.linalg"])
+def test_dense_modules_left_the_package(module):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(module)

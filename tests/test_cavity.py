@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import random_spec
+from support.dense import jc_hamiltonian
+from support.linalg import is_unitary, propagator
 from wdistill.cavity import (
     JCParams,
     evolved_physical_state,
-    jc_hamiltonian,
     jc_propagator_closed,
     optimal_interaction_time,
     physical_plan,
@@ -19,7 +20,6 @@ from wdistill.errors import (
     UnsupportedModeError,
     ValidationError,
 )
-from wdistill.linalg import is_unitary, propagator
 from wdistill.protocol import WPrimeSpec, min_coefficient_index, run_exact
 
 
@@ -198,7 +198,7 @@ class TestRunPhysical:
             rep_a = run_physical(spec, JCParams(omega=3.0, omega0=3.0, epsilon=1.3))
             rep_b = run_physical(spec, JCParams(omega=77.0, omega0=77.0, epsilon=1.3))
             assert abs(rep_a.success_probability_exact - rep_b.success_probability_exact) <= 1e-12
-            assert np.max(np.abs(rep_a.final_state.amps - rep_b.final_state.amps)) <= 1e-12
+            assert np.max(np.abs(rep_a.final_state - rep_b.final_state)) <= 1e-12
             for ra, rb in zip(rep_a.branch_records, rep_b.branch_records):
                 assert ra.pattern == rb.pattern
                 assert abs(ra.probability - rb.probability) <= 1e-12
@@ -211,12 +211,10 @@ class TestRunPhysical:
             spec = random_spec(rng, int(rng.integers(2, 6)))
             w = rng.uniform(1.0, 50.0)
             params = JCParams(omega=w, omega0=w, epsilon=rng.uniform(0.5, 4.0))
-            state, _, plans = evolved_physical_state(spec, params)
+            state, plans = evolved_physical_state(spec, params)
             min_mag = min(abs(c) for c in spec.coeffs)
             for p in plans:
-                occ = [0] * state.layout.n_sites
-                occ[p.k] = 1
-                amp = state.amps[state.layout.ravel(occ)]
+                amp = state.particles[p.k]
                 assert abs(abs(amp) - min_mag) <= 1e-12
 
     def test_cutoff_does_not_change_reports(self, worked_spec):
@@ -241,9 +239,7 @@ class TestRunPhysical:
         report = run_physical(spec, JCParams(omega=13.0, omega0=13.0, epsilon=0.9))
         assert report.fidelity_with_w == pytest.approx(1.0, abs=1e-12)
         # the composed Ramsey pulses leave every amplitude real, positive, equal
-        layout = report.final_state.layout
-        for m in range(3):
-            amp = report.final_state.amps[layout.ravel([1 if i == m else 0 for i in range(3)])]
+        for amp in report.final_state:
             assert amp.real == pytest.approx(1 / math.sqrt(3), abs=1e-12)
             assert abs(amp.imag) <= 1e-12
 
@@ -252,7 +248,7 @@ class TestRunPhysical:
             run_physical(worked_spec, JCParams(omega=5.0, omega0=6.0, epsilon=1.0))
 
     def test_physical_plan_skips_minimal_party(self, worked_spec):
-        j, plans = physical_plan(worked_spec, JCParams(omega=5, omega0=5, epsilon=1))
-        assert j == 2
+        plans = physical_plan(worked_spec, JCParams(omega=5, omega0=5, epsilon=1))
+        assert worked_spec.min_index == 2
         assert [p.k for p in plans] == [0, 1]
         assert all(p.accrued_phases is not None for p in plans)

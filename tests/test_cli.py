@@ -3,8 +3,10 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from conftest import random_spec
 from wdistill.cli import main, render_report
 
 WORKED_FILE = {"coefficients": [[0.70710678, 0], [0.54772256, 0], [0.44721360, 0]]}
@@ -26,6 +28,13 @@ def write_spec(tmp_path, doc, name="s.json"):
 def run_cli(capsys, *argv) -> tuple[int, str]:
     code = main(list(argv))
     return code, capsys.readouterr().out
+
+
+def random_spec_file(tmp_path, n: int, seed: int) -> tuple[str, tuple[complex, ...]]:
+    """conftest.random_spec written as a coefficient file; returns (path, coefficients)."""
+    coeffs = random_spec(np.random.default_rng(seed), n).coeffs
+    doc = {"coefficients": [[c.real, c.imag] for c in coeffs]}
+    return write_spec(tmp_path, doc, f"n{n}.json"), coeffs
 
 
 class TestRender:
@@ -50,6 +59,7 @@ class TestDistill:
         assert doc["n"] == 3
         assert doc["min_index"] == 3
         assert doc["scheme"] == "abstract"
+        assert doc["report_schema"] == 2
         assert doc["success_probability_analytic"] == pytest.approx(0.6, abs=1e-7)
         assert doc["success_probability_exact"] == pytest.approx(
             doc["success_probability_analytic"], abs=1e-10
@@ -58,6 +68,8 @@ class TestDistill:
         patterns = {b["pattern"]: b["probability"] for b in doc["branches"]}
         assert patterns["10"] == pytest.approx(0.3, abs=1e-7)
         assert patterns["01"] == pytest.approx(0.1, abs=1e-7)
+        # only reachable patterns are listed, in lexicographic order
+        assert [b["pattern"] for b in doc["branches"]] == ["00", "01", "10"]
 
     def test_zero_coefficient_exits_2(self, capsys, tmp_path):
         path = write_spec(tmp_path, {"coefficients": [[1, 0], [0, 0]]})
@@ -245,6 +257,51 @@ class TestWState:
     def test_rejects_single_party(self):
         assert main(["wstate", "--n", "1"]) == 1
 
+    def test_beyond_the_old_dense_cap(self, capsys):
+        code, out = run_cli(capsys, "wstate", "--n", "25")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "0" * 24 + "1 0.20000000"
+        assert lines[-1] == "1" + "0" * 24 + " 0.20000000"
+        assert len(lines) == 25
+
+
+class TestLargeN:
+    """Sizes the dense engine refused (N=11 exceeded its 2^20-amplitude cap)."""
+
+    @pytest.mark.parametrize("n", [11, 2000])
+    @pytest.mark.parametrize("command", [["distill"], ["cavity", "--fock", "3"]])
+    def test_exact_report(self, capsys, tmp_path, n, command):
+        path, coeffs = random_spec_file(tmp_path, n, seed=n)
+        code, out = run_cli(capsys, command[0], path, *command[1:])
+        assert code == 0
+        doc = json.loads(out)
+        # every party but the minimal one can fail, and success is reachable
+        assert len(doc["branches"]) == n
+        analytic = n * min(abs(c) for c in coeffs) ** 2
+        assert abs(doc["success_probability_exact"] - analytic) <= 1e-10
+        assert abs(doc["fidelity_with_w"] - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("scheme", ["abstract", "cavity"])
+    def test_sample(self, capsys, tmp_path, scheme):
+        path, _ = random_spec_file(tmp_path, 2000, seed=7)
+        code, out = run_cli(capsys, "sample", path, "--trials", "100", "--scheme", scheme)
+        assert code == 0
+        assert sum(json.loads(out)["histogram"].values()) == 100
+
+
+class TestUnderflow:
+    """|c_2| = 1e-170: |c_2|^2 underflows to 0, below any representable probability."""
+
+    @pytest.mark.parametrize(
+        "argv", [["distill"], ["cavity"], ["sample", "--trials", "10"], ["sample", "--scheme", "cavity"]]
+    )
+    def test_exits_2_naming_the_floor(self, capsys, tmp_path, argv):
+        path = write_spec(tmp_path, {"coefficients": [[1.0, 0.0], [1e-170, 0.0]]})
+        assert main([argv[0], path, *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert "1e-170" in err and "2.2e-162" in err
+
 
 class TestExitCodes:
     def test_unknown_command_exits_1(self):
@@ -262,13 +319,6 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "run_exact", boom)
         assert main(["distill", worked_path]) == 3
-
-    @pytest.mark.parametrize("value", ["abc", "2.5", "0", "-4"])
-    def test_malformed_max_dim_exits_2(self, capsys, monkeypatch, worked_path, value):
-        monkeypatch.setenv("WDISTILL_MAX_DIM", value)
-        assert main(["distill", worked_path]) == 2
-        err = capsys.readouterr().err
-        assert "WDISTILL_MAX_DIM" in err and repr(value) in err
 
     def test_emitted_codes_are_in_contract(self, tmp_path, worked_path):
         observed = {

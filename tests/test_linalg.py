@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from wdistill.cavity import JCParams, jc_hamiltonian, jc_propagator_closed
+from support.dense import jc_hamiltonian
+from support.linalg import adjoint, eigh_hermitian, is_unitary, mat_mul, propagator
+from wdistill.cavity import JCParams, jc_propagator_closed
 from wdistill.errors import ShapeError, ValidationError
-from wdistill.linalg import adjoint, eigh_hermitian, is_unitary, mat_mul, propagator
 
 
 def expm_series(h: np.ndarray, t: float, terms: int = 80) -> np.ndarray:

@@ -1,0 +1,102 @@
+"""The single-excitation sector engine against the dense state-vector oracle.
+
+Both realizations, N = 2..9 with random complex phases, Fock cutoffs 1-3
+(as far as the oracle's 2^20-amplitude cap allows),
+the golden near-tie spec, and exact ties, where some failure patterns have
+probability exactly zero.
+"""
+import math
+import os
+
+import numpy as np
+import pytest
+
+from conftest import random_spec
+from support import dense
+from wdistill.cavity import JCParams, evolved_physical_state, run_physical
+from wdistill.cli import load_spec
+from wdistill.montecarlo import _zero_prefix_cdfs
+from wdistill.protocol import WPrimeSpec, evolved_joint_state, run_exact
+
+AGREE_TOL = 1e-14
+CDF_TOL = 1e-15
+# largest N whose dense state fits the oracle's 2^20-amplitude cap, per
+# Fock cutoff (None: the abstract scheme)
+MAX_N = {None: 9, 1: 9, 2: 8, 3: 7}
+
+NEAR_TIE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "near_tie.json")
+
+
+def _specs():
+    rng = np.random.default_rng(2024)
+    specs = {f"random{n}_{i}": random_spec(rng, n) for n in range(2, 10) for i in range(2)}
+    specs["near_tie"] = load_spec(NEAR_TIE)[0]
+    specs["uniform"] = WPrimeSpec.from_coefficients([0.5] * 4)
+    # three parties tie exactly at the minimum, with phases that keep |c| exact
+    tie = math.sqrt(0.2)
+    specs["three_way_tie"] = WPrimeSpec.from_coefficients([math.sqrt(0.4) * 1j, tie, 1j * tie, -tie])
+    return specs
+
+
+SPECS = _specs()
+CASES = [
+    (name, fock)
+    for name, spec in SPECS.items()
+    for fock in (None, 1, 2, 3)
+    if spec.n <= MAX_N[fock]
+]
+
+
+def _params(fock: int) -> JCParams:
+    return JCParams(omega=13.5, omega0=13.5, epsilon=0.7, fock_cutoff=fock)
+
+
+def _runs(spec: WPrimeSpec, fock: int | None):
+    if fock is None:
+        return run_exact(spec), dense.run_exact(spec)
+    return run_physical(spec, _params(fock)), dense.run_physical(spec, _params(fock))
+
+
+@pytest.mark.parametrize("name,fock", CASES)
+def test_reports_match_dense(name, fock):
+    spec = SPECS[name]
+    sector, oracle = _runs(spec, fock)
+    assert abs(sector.success_probability_exact - oracle.success_probability_exact) <= AGREE_TOL
+    assert abs(sector.fidelity_with_w - oracle.fidelity_with_w) <= AGREE_TOL
+
+    reachable = {r.pattern: r.probability for r in oracle.branch_records if r.probability > 0.0}
+    rows = {r.pattern: r for r in sector.branch_records}
+    assert rows.keys() == reachable.keys()
+    for pattern, record in rows.items():
+        assert abs(record.probability - reachable[pattern]) <= AGREE_TOL
+    described = {r.pattern: r.description for r in oracle.branch_records}
+    assert all(r.description == described[p] for p, r in rows.items())
+    # same order as the dense walk's rows, zero rows left out
+    assert list(rows) == [r.pattern for r in oracle.branch_records if r.pattern in rows]
+
+    one_hot = [1 << (spec.n - 1 - m) for m in range(spec.n)]
+    assert np.max(np.abs(sector.final_state - oracle.final_state.amps[one_hot])) <= AGREE_TOL
+
+
+@pytest.mark.parametrize("name,fock", CASES)
+def test_sampler_cdfs_match_dense(name, fock):
+    spec = SPECS[name]
+    if fock is None:
+        state, users = evolved_joint_state(spec)
+        dense_state, sites = dense.evolved_joint_state(spec)
+    else:
+        state, plans = evolved_physical_state(spec, _params(fock))
+        dense_state, sites, _ = dense.evolved_physical_state(spec, _params(fock))
+    cdfs = _zero_prefix_cdfs(state)
+    expected = dense.zero_prefix_cdfs(dense_state, sites)
+    assert cdfs.shape == (len(expected), len(expected[0]))
+    assert np.max(np.abs(cdfs - np.array(expected))) <= CDF_TOL
+
+
+def test_ties_drop_exactly_the_zero_rows():
+    # the tied parties' ancillas never fire: only success and party 1's row
+    for fock in (None, 1, 2):
+        sector, _ = _runs(SPECS["three_way_tie"], fock)
+        assert [r.pattern for r in sector.branch_records] == [(0, 0, 0), (1, 0, 0)]
+    sector, _ = _runs(SPECS["uniform"], None)
+    assert [r.pattern for r in sector.branch_records] == [(0, 0, 0)]

@@ -5,21 +5,23 @@ import numpy as np
 import pytest
 
 from conftest import random_spec
-from wdistill.errors import DegenerateCoefficientError, SpecError, ValidationError
-from wdistill.linalg import is_unitary
+from support import dense
+from support.linalg import is_unitary
+from support.statevec import StateVector, apply_local
+from wdistill.errors import DegenerateCoefficientError, SpecError, ToleranceError, ValidationError
 from wdistill.protocol import (
     WPrimeSpec,
     analytic_success_probability,
     build_step_unitary,
+    evolve_sector,
     evolved_joint_state,
-    joint_layout,
+    fidelity,
     make_w_state,
     min_coefficient_index,
     phase_correction,
     plan,
     run_exact,
 )
-from wdistill.statevec import StateVector, apply_local, fidelity
 
 
 def n3_step_matrix(numer: float, denom: complex) -> np.ndarray:
@@ -51,17 +53,33 @@ class TestSpecValidation:
         with pytest.raises(SpecError):
             WPrimeSpec.from_coefficients([math.nan, 1.0])
 
+    def test_min_magnitude_is_the_per_party_minimum(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            spec = random_spec(rng, int(rng.integers(2, 9)))
+            assert spec.min_magnitude == min(abs(c) for c in spec.coeffs)
+            assert analytic_success_probability(spec) == spec.n * min(abs(c) ** 2 for c in spec.coeffs)
+
+    def test_rejects_underflowing_minimum(self):
+        with pytest.raises(SpecError, match=r"1e-170 .*floor 2\.2e-162"):
+            WPrimeSpec.from_coefficients([1.0, 1e-170])
+        # |c|^2 = 1e-320 is subnormal but positive: still supported
+        assert analytic_success_probability(WPrimeSpec.from_coefficients([1.0, 1e-160])) > 0.0
+
 
 class TestMakeWState:
     def test_three_party_amplitudes(self):
-        state = make_w_state(3)
         expected = np.zeros(8)
         expected[[4, 2, 1]] = 1 / math.sqrt(3)
-        np.testing.assert_allclose(state.amps, expected, atol=1e-15)
+        np.testing.assert_allclose(dense.make_w_state(3).amps, expected, atol=1e-15)
+        # entry m is the amplitude of |0..1_m..0>
+        np.testing.assert_allclose(make_w_state(3), expected[[4, 2, 1]], atol=1e-15)
 
     def test_two_party(self):
-        state = make_w_state(2)
-        np.testing.assert_allclose(np.abs(state.amps), [0, 1, 1, 0] / np.sqrt(2), atol=1e-15)
+        np.testing.assert_allclose(
+            np.abs(dense.make_w_state(2).amps), [0, 1, 1, 0] / np.sqrt(2), atol=1e-15
+        )
+        np.testing.assert_allclose(np.abs(make_w_state(2)), [1, 1] / np.sqrt(2), atol=1e-15)
 
     def test_self_fidelity(self):
         assert fidelity(make_w_state(4), make_w_state(4)) == pytest.approx(1.0, abs=1e-15)
@@ -121,13 +139,13 @@ class TestBuildStepUnitary:
 
 class TestPlan:
     def test_worked_spec(self, worked_spec):
-        j, steps = plan(worked_spec)
-        assert j == 2
-        assert [s.k for s in steps] == [0, 1]
+        assert worked_spec.min_index == 2
+        assert [s.k for s in plan(worked_spec)] == [0, 1]
 
     def test_uniform_tie_break(self):
-        j, steps = plan(WPrimeSpec.from_coefficients([0.5] * 4))
-        assert j == 0
+        spec = WPrimeSpec.from_coefficients([0.5] * 4)
+        steps = plan(spec)
+        assert spec.min_index == 0
         assert len(steps) == 3
         for s in steps:
             np.testing.assert_allclose(s.u_k, np.eye(4), atol=1e-15)
@@ -135,7 +153,7 @@ class TestPlan:
     def test_tie_break_ignores_phase(self):
         mag = 1 / math.sqrt(3)
         coeffs = [mag * cmath.exp(1j * 0.8), mag, mag * cmath.exp(-1j * 2.5)]
-        assert plan(WPrimeSpec.from_coefficients(coeffs))[0] == 0
+        assert WPrimeSpec.from_coefficients(coeffs).min_index == 0
 
     def test_rejects_zero_coefficient(self):
         with pytest.raises(DegenerateCoefficientError):
@@ -168,7 +186,10 @@ class TestRunExact:
         probs = {r.pattern: r.probability for r in run_exact(worked_spec).branch_records}
         assert probs[(1, 0)] == pytest.approx(0.3, abs=1e-12)
         assert probs[(0, 1)] == pytest.approx(0.1, abs=1e-12)
-        assert probs[(1, 1)] == 0.0
+        # the zero-probability pattern is not listed; the dense walk gives it 0
+        assert (1, 1) not in probs
+        dense_probs = {r.pattern: r.probability for r in dense.run_exact(worked_spec).branch_records}
+        assert dense_probs[(1, 1)] == 0.0
         assert sum(probs.values()) == pytest.approx(1.0, abs=1e-10)
 
     def test_uniform_five_party(self):
@@ -190,9 +211,7 @@ class TestRunExact:
         assert report.success_probability_exact == pytest.approx(0.6, abs=1e-10)
         assert report.fidelity_with_w == pytest.approx(1.0, abs=1e-12)
         # corrected amplitudes are uniform, real, positive
-        one_hot = [report.final_state.layout.ravel([1 if i == m else 0 for i in range(3)]) for m in range(3)]
-        for idx in one_hot:
-            amp = report.final_state.amps[idx]
+        for amp in report.final_state:
             assert amp.real == pytest.approx(1 / math.sqrt(3), abs=1e-12)
             assert abs(amp.imag) <= 1e-12
 
@@ -229,8 +248,8 @@ class TestRunExact:
         for _ in range(8):
             n = int(rng.integers(3, 7))
             spec = random_spec(rng, n)
-            j, steps = plan(spec)
-            layout, anc_sites = joint_layout(spec)
+            steps = plan(spec)
+            layout, anc_sites = dense.joint_layout(spec)
             amps = np.zeros(layout.size, dtype=complex)
             for m, c in enumerate(spec.coeffs):
                 occ = [0] * layout.n_sites
@@ -253,7 +272,7 @@ class TestRunExact:
         rng = np.random.default_rng(17)
         for _ in range(20):
             spec = random_spec(rng, int(rng.integers(2, 8)))
-            for step in plan(spec)[1]:
+            for step in plan(spec):
                 assert is_unitary(step.u_k, 1e-12)
                 assert abs(step.z_k) <= 1.0 + 1e-12
 
@@ -275,47 +294,121 @@ class TestRunExact:
         rng = np.random.default_rng(123)
         for _ in range(10):
             spec = random_spec(rng, int(rng.integers(2, 6)))
-            j, steps = plan(spec)
-            layout, anc_sites = joint_layout(spec)
+            steps = plan(spec)
+            layout, anc_sites = dense.joint_layout(spec)
             n_sites = layout.n_sites
             psi = np.zeros(1 << n_sites, dtype=complex)
             for m, c in enumerate(spec.coeffs):
                 psi[1 << (n_sites - 1 - m)] = c
             for step, anc in zip(steps, anc_sites):
                 psi = embed(step.u_k, n_sites, anc, step.k) @ psi
+            assert np.max(np.abs(psi - dense.evolved_joint_state(spec)[0].amps)) < 1e-13
+            # sector entry s (particles, then ancillas in step order) is the
+            # amplitude of the ket with site s alone excited
             state, _ = evolved_joint_state(spec)
-            assert np.max(np.abs(psi - state.amps)) < 1e-13
+            one_hot = [1 << (n_sites - 1 - s) for s in range(n_sites)]
+            assert np.max(np.abs(psi[one_hot] - state.amps)) < 1e-13
+            assert np.max(np.abs(np.delete(psi, one_hot))) < 1e-13
             anc_mask = sum(1 << (n_sites - 1 - s) for s in anc_sites)
             p_succ = sum(abs(a) ** 2 for i, a in enumerate(psi) if (i & anc_mask) == 0)
             assert abs(p_succ - analytic_success_probability(spec)) < 1e-12
 
 
+def naive_sector_evolution(coeffs, steps):
+    """Reference for evolve_sector: every step multiplies every other
+    amplitude by its spectator phase, O(N^2) for N parties."""
+    n = len(coeffs)
+    amps = np.zeros(2 * n - 1, dtype=complex)
+    amps[:n] = coeffs
+    for t, (k, u) in enumerate(steps):
+        acting, mode = amps[k], amps[n + t]
+        amps *= u[0, 0]
+        amps[k] = u[1, 1] * acting + u[1, 2] * mode
+        amps[n + t] = u[2, 1] * acting + u[2, 2] * mode
+    return amps
+
+
+def random_unitary(rng, dim: int) -> np.ndarray:
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(a)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def sector_step(phase: complex, block: np.ndarray, corner: complex = 1.0) -> np.ndarray:
+    u = np.zeros((4, 4), dtype=complex)
+    u[0, 0] = phase
+    u[1:3, 1:3] = block
+    u[3, 3] = corner  # two local excitations: outside the sector, never read
+    return u
+
+
+class TestEvolveSector:
+    def test_running_phase_matches_per_step_update(self):
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            n = int(rng.integers(2, 9))
+            coeffs = rng.normal(size=n) + 1j * rng.normal(size=n)
+            steps = []
+            for k in rng.permutation(n)[: n - 1]:
+                block = random_unitary(rng, 2)
+                steps.append((int(k), sector_step(np.exp(1j * rng.uniform(0, 7)), block, rng.normal())))
+            state = evolve_sector(coeffs, steps, vac=0, pair=(1, 2), mode_dim=2)
+            assert np.max(np.abs(state.amps - naive_sector_evolution(coeffs, steps))) <= 1e-14
+
+    @pytest.mark.parametrize("entry", [(0, 1), (3, 1), (2, 0), (1, 3), (0, 3)])
+    def test_rejects_any_coupling_out_of_the_sector(self, entry):
+        u = sector_step(1.0, np.eye(2))
+        u[entry] = 1e-300
+        with pytest.raises(ToleranceError):
+            evolve_sector([0.6, 0.8], [(1, u)], vac=0, pair=(1, 2), mode_dim=2)
+
+    def test_accepts_every_constructed_step(self):
+        rng = np.random.default_rng(13)
+        for _ in range(10):
+            spec = random_spec(rng, int(rng.integers(2, 8)))
+            state, users = evolved_joint_state(spec)
+            assert users == tuple(s.k for s in plan(spec))
+            assert state.amps.shape == (2 * spec.n - 1,)
+
+
 class TestPhaseCorrection:
     def test_identity_on_real_positive(self):
-        state = make_w_state(3)
-        out = phase_correction(state, 2, 1.0)
-        np.testing.assert_allclose(out.amps, state.amps, atol=1e-15)
+        out = phase_correction(make_w_state(3), 2, 1.0)
+        np.testing.assert_allclose(out, make_w_state(3), atol=1e-15)
 
     def test_strips_coefficient_phase(self):
-        layout = make_w_state(3).layout
-        amps = np.zeros(8, dtype=complex)
-        amps[4] = 1 / math.sqrt(3)
-        amps[2] = 1 / math.sqrt(3)
-        amps[1] = cmath.exp(1j * math.pi / 4) / math.sqrt(3)
-        out = phase_correction(StateVector(layout, amps), 2, cmath.exp(1j * math.pi / 4))
-        np.testing.assert_allclose(out.amps, make_w_state(3).amps, atol=1e-12)
+        amps = np.array([1, 1, cmath.exp(1j * math.pi / 4)]) / math.sqrt(3)
+        out = phase_correction(amps, 2, cmath.exp(1j * math.pi / 4))
+        np.testing.assert_allclose(out, make_w_state(3), atol=1e-12)
 
     def test_ledger_phases_cancel(self):
-        layout = make_w_state(3).layout
-        amps = np.zeros(8, dtype=complex)
-        amps[4] = cmath.exp(1j * 0.3) / math.sqrt(3)
-        amps[2] = cmath.exp(-1j * 1.1) / math.sqrt(3)
-        amps[1] = 1 / math.sqrt(3)
-        out = phase_correction(StateVector(layout, amps), 2, 1.0, {0: 0.3, 1: -1.1})
-        np.testing.assert_allclose(out.amps, make_w_state(3).amps, atol=1e-12)
+        amps = np.array([cmath.exp(1j * 0.3), cmath.exp(-1j * 1.1), 1]) / math.sqrt(3)
+        out = phase_correction(amps, 2, 1.0, {0: 0.3, 1: -1.1})
+        np.testing.assert_allclose(out, make_w_state(3), atol=1e-12)
+
+    def test_matches_dense_correction(self):
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            n = int(rng.integers(2, 6))
+            amps = np.exp(1j * rng.uniform(0, 2 * np.pi, n)) / math.sqrt(n)
+            ledger = {int(k): float(rng.uniform(-3, 3)) for k in rng.choice(n, n - 1, replace=False)}
+            layout = dense.make_w_state(n).layout
+            one_hot = [1 << (n - 1 - m) for m in range(n)]
+            full = np.zeros(layout.size, dtype=complex)
+            full[one_hot] = amps
+            expected = dense.phase_correction(StateVector(layout, full), 0, amps[0], ledger)
+            out = phase_correction(amps, 0, amps[0], ledger)
+            assert np.max(np.abs(expected.amps[one_hot] - out)) <= 1e-15
+
+    def test_rejects_bad_site_and_vanishing_head(self):
+        with pytest.raises(ValidationError):
+            phase_correction(make_w_state(3), 3, 1.0)
+        with pytest.raises(ValidationError):
+            phase_correction(np.array([0.0, 1.0]), 1, 1.0)
 
     def test_rejects_support_outside_single_excitation(self):
-        layout = make_w_state(2).layout
+        # only the dense representation can hold such a state
+        layout = dense.make_w_state(2).layout
         amps = np.array([0.5, 0.5, 0.5, 0.5], dtype=complex)
         with pytest.raises(ValidationError):
-            phase_correction(StateVector(layout, amps), 0, 1.0)
+            dense.phase_correction(StateVector(layout, amps), 0, 1.0)

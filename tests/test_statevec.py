@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from wdistill.errors import ShapeError, ValidationError
-from wdistill.linalg import propagator
-from wdistill.statevec import (
+from support.linalg import propagator
+from support.statevec import (
     StateVector,
     SubsystemLayout,
     apply_local,
@@ -16,6 +15,7 @@ from wdistill.statevec import (
     project_site,
     site_distribution,
 )
+from wdistill.errors import ShapeError, ValidationError
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -59,6 +59,12 @@ class TestLayout:
         with pytest.raises(ValidationError):
             SubsystemLayout((2,) * 5)
         SubsystemLayout((2,) * 4)  # at the cap: fine
+
+    @pytest.mark.parametrize("value", ["abc", "2.5", "0", "-4"])
+    def test_malformed_max_dim(self, monkeypatch, value):
+        monkeypatch.setenv("WDISTILL_MAX_DIM", value)
+        with pytest.raises(ValidationError, match=f"WDISTILL_MAX_DIM.*{value!r}"):
+            SubsystemLayout((2, 2))
 
     def test_label_arity(self):
         with pytest.raises(ShapeError):
