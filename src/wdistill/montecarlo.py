@@ -2,17 +2,23 @@
 
 Random stream construction (fixed, documented): trial i runs a SplitMix64
 sequence whose initial state is the mix of (seed + (i+1)*GAMMA); draw t of
-the trial is mix(state + (t+1)*GAMMA). Every uniform is therefore a pure
+the trial is mix(state + (t+1)*GAMMA). Every draw is therefore a pure
 function of (seed, trial index, draw index), so results are bit-identical
 regardless of execution order, chunking, or parallelism.
 
 A trial measures its ancillas/cavities in protocol order against the exact
-conditional Born probabilities, one uniform u per measured site. The
-outcome is the inverse CDF in outcome-index order: the first index whose
-cumulative probability exceeds u, clamped to the last outcome in case the
-CDF rounds below 1. A trial stops at the first non-|0>/non-vacuum
-detection; failure branches cannot recover, so this truncation does not
-change the success/failure classification.
+conditional Born probabilities, one draw per measured site; the draw's top
+53 bits k give the uniform u = k * 2^-53. The outcome is the inverse CDF in
+outcome-index order, and inside the single-excitation sector only two
+outcomes occur: 0 when u < cdf[t, 0], evaluated exactly as the integer
+comparison k < ceil(cdf[t, 0] * 2^53), else 1. A trial stops at the first
+non-|0>/non-vacuum detection; failure branches cannot recover, so this
+truncation does not change the success/failure classification.
+
+Trials run in fixed chunks, and each step draws only for the trials of the
+chunk still alive, tallying failures per step: memory is bounded by the
+chunk size whatever the number of trials, and no draw is made after a
+trial's first failure.
 """
 from __future__ import annotations
 
@@ -34,6 +40,8 @@ from .protocol import (
 SCHEMES = ("abstract", "cavity")
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
+# trials per chunk: bounds the sampler's memory, never its results
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -66,25 +74,14 @@ class TrialStats:
     seed: int
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    # SplitMix64 finalizer (Steele, Lea, Flood 2014); uint64 wraparound intended
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
-
-
-def trial_uniforms(seed: int, trials: int, draws: int) -> np.ndarray:
-    """(trials, draws) matrix of uniforms in [0, 1), pure in (seed, i, t)."""
-    mask = (1 << 64) - 1
-    idx = np.arange(1, trials + 1, dtype=np.uint64)
-    base = _mix64(np.uint64(seed) + idx * _GAMMA)
-    out = np.empty((trials, draws), dtype=np.float64)
-    for t in range(draws):
-        # scalar key reduced in Python ints: numpy warns on scalar wraparound
-        step_key = np.uint64(((t + 1) * int(_GAMMA)) & mask)
-        h = _mix64(base + step_key)
-        out[:, t] = (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    return out
+def _mix64(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer (Steele, Lea, Flood 2014), in place on x;
+    scratch is a uint64 buffer of x's size. uint64 wraparound intended."""
+    np.bitwise_xor(x, np.right_shift(x, np.uint64(30), out=scratch), out=x)
+    np.multiply(x, np.uint64(0xBF58476D1CE4E5B9), out=x)
+    np.bitwise_xor(x, np.right_shift(x, np.uint64(27), out=scratch), out=x)
+    np.multiply(x, np.uint64(0x94D049BB133111EB), out=x)
+    return np.bitwise_xor(x, np.right_shift(x, np.uint64(31), out=scratch), out=x)
 
 
 def _zero_prefix_cdfs(state: SectorState) -> np.ndarray:
@@ -102,6 +99,49 @@ def _zero_prefix_cdfs(state: SectorState) -> np.ndarray:
     return np.cumsum(probs, axis=1)
 
 
+def _zero_limits(cdfs: np.ndarray) -> np.ndarray:
+    """Integer form of the inverse-CDF rule: draw h reads 0 at step t iff
+    (h >> 11) < limits[t].
+
+    A draw is u = k * 2^-53 with k = h >> 11 < 2^53, and scaling by a power
+    of two is exact, so u < cdf[t, 0] iff k < cdf[t, 0] * 2^53; for an
+    integer k that is k < ceil(cdf[t, 0] * 2^53), a limit <= 2^53.
+    """
+    return np.ceil(cdfs[:, 0] * 2.0**53).astype(np.uint64)
+
+
+def _tally(seed: int, trials: int, limits: np.ndarray) -> tuple[int, np.ndarray]:
+    """Successes and per-step failure counts of trials 0..trials-1.
+
+    Trials run in chunks of _CHUNK, and each step draws only for the trials
+    of the chunk that are still alive, so memory is O(_CHUNK) whatever the
+    trial count and no draw past a trial's first failure is made.
+    """
+    # scalar keys reduced in Python ints: numpy warns on scalar wraparound
+    step_keys = [np.uint64((t + 1) * int(_GAMMA) % 2**64) for t in range(len(limits))]
+    fired = np.zeros(len(limits), dtype=np.int64)
+    successes = 0
+    draws = np.empty(min(_CHUNK, trials), dtype=np.uint64)
+    scratch = np.empty_like(draws)
+    for lo in range(0, trials, _CHUNK):
+        hi = min(lo + _CHUNK, trials)
+        # trial i's state: mix(seed + (i+1)*GAMMA)
+        alive = np.arange(lo + 1, hi + 1, dtype=np.uint64)
+        np.multiply(alive, _GAMMA, out=alive)
+        np.add(alive, np.uint64(seed), out=alive)
+        _mix64(alive, scratch[: hi - lo])
+        for t, (key, limit) in enumerate(zip(step_keys, limits)):
+            m = len(alive)
+            draw = _mix64(np.add(alive, key, out=draws[:m]), scratch[:m])
+            zero = np.right_shift(draw, np.uint64(11), out=scratch[:m]) < limit
+            alive = alive[zero]
+            fired[t] += m - len(alive)
+            if not len(alive):
+                break
+        successes += len(alive)
+    return successes, fired
+
+
 def run_trials(spec: WPrimeSpec, config: TrialConfig) -> TrialStats:
     """Sample config.trials runs of the protocol and tally the outcomes.
 
@@ -114,30 +154,12 @@ def run_trials(spec: WPrimeSpec, config: TrialConfig) -> TrialStats:
         state = evolved_physical_state(spec, config.params)[0]
     else:
         state = evolved_joint_state(spec)[0]
-    cdfs = _zero_prefix_cdfs(state)
-    n_steps = len(cdfs)
+    limits = _zero_limits(_zero_prefix_cdfs(state))
+    successes, fired = _tally(config.seed, config.trials, limits)
 
-    u = trial_uniforms(config.seed, config.trials, n_steps)
-    outcomes = np.empty((config.trials, n_steps), dtype=np.int64)
-    for t, cdf in enumerate(cdfs):
-        col = np.searchsorted(cdf, u[:, t], side="right")
-        outcomes[:, t] = np.minimum(col, len(cdf) - 1)  # cdf may round below 1
-
-    failed = outcomes != 0
-    any_fail = failed.any(axis=1)
-    successes = int(config.trials - any_fail.sum())
-
-    histogram: dict[str, int] = {}
+    histogram = {"0" * t + "1": int(count) for t, count in enumerate(fired) if count}
     if successes:
-        histogram["0" * n_steps] = successes
-    if any_fail.any():
-        first = failed[any_fail].argmax(axis=1)
-        digit = outcomes[any_fail, first]
-        max_dim = int(outcomes.max()) + 1
-        codes, counts = np.unique(first * max_dim + digit, return_counts=True)
-        for code, count in zip(codes, counts):
-            t, d = divmod(int(code), max_dim)
-            histogram["0" * t + str(d)] = int(count)
+        histogram["0" * len(limits)] = successes
     histogram = dict(sorted(histogram.items()))
 
     empirical = successes / config.trials

@@ -1,0 +1,93 @@
+"""Matrix-form reference sampler: the oracle for the streaming run_trials.
+
+It draws the whole trials x (N-1) matrix of uniforms up front, takes each
+outcome as the inverse CDF of its uniform (the first index whose cumulative
+probability exceeds u, clamped to the last outcome in case the CDF rounds
+below 1) and tallies the truncated patterns with np.unique. Same
+SplitMix64 stream and the same conditional CDFs as wdistill.montecarlo.
+"""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from wdistill.cavity import evolved_physical_state
+from wdistill.montecarlo import TrialConfig, TrialStats, _zero_prefix_cdfs
+from wdistill.protocol import WPrimeSpec, analytic_success_probability, evolved_joint_state
+
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _mix64(x: np.ndarray) -> np.ndarray:
+    # SplitMix64 finalizer (Steele, Lea, Flood 2014); uint64 wraparound intended
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def trial_uniforms(seed: int, trials: int, draws: int) -> np.ndarray:
+    """(trials, draws) matrix of uniforms in [0, 1), pure in (seed, i, t)."""
+    mask = (1 << 64) - 1
+    idx = np.arange(1, trials + 1, dtype=np.uint64)
+    base = _mix64(np.uint64(seed) + idx * _GAMMA)
+    out = np.empty((trials, draws), dtype=np.float64)
+    for t in range(draws):
+        # scalar key reduced in Python ints: numpy warns on scalar wraparound
+        step_key = np.uint64(((t + 1) * int(_GAMMA)) & mask)
+        h = _mix64(base + step_key)
+        out[:, t] = (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return out
+
+
+def run_trials(spec: WPrimeSpec, config: TrialConfig) -> TrialStats:
+    """Sample config.trials runs of the protocol and tally the outcomes."""
+    if config.scheme == "cavity":
+        state = evolved_physical_state(spec, config.params)[0]
+    else:
+        state = evolved_joint_state(spec)[0]
+    cdfs = _zero_prefix_cdfs(state)
+    n_steps = len(cdfs)
+
+    u = trial_uniforms(config.seed, config.trials, n_steps)
+    outcomes = np.empty((config.trials, n_steps), dtype=np.int64)
+    for t, cdf in enumerate(cdfs):
+        col = np.searchsorted(cdf, u[:, t], side="right")
+        outcomes[:, t] = np.minimum(col, len(cdf) - 1)  # cdf may round below 1
+
+    failed = outcomes != 0
+    any_fail = failed.any(axis=1)
+    successes = int(config.trials - any_fail.sum())
+
+    histogram: dict[str, int] = {}
+    if successes:
+        histogram["0" * n_steps] = successes
+    if any_fail.any():
+        first = failed[any_fail].argmax(axis=1)
+        digit = outcomes[any_fail, first]
+        max_dim = int(outcomes.max()) + 1
+        codes, counts = np.unique(first * max_dim + digit, return_counts=True)
+        for code, count in zip(codes, counts):
+            t, d = divmod(int(code), max_dim)
+            histogram["0" * t + str(d)] = int(count)
+    histogram = dict(sorted(histogram.items()))
+
+    empirical = successes / config.trials
+    analytic = analytic_success_probability(spec)
+    std_error = math.sqrt(empirical * (1.0 - empirical) / config.trials)
+    if std_error > 0.0:
+        z = (empirical - analytic) / std_error
+    else:
+        # degenerate p-hat in {0, 1}: zero when consistent with the target
+        diff = empirical - analytic
+        z = 0.0 if abs(diff) <= 1e-9 else math.copysign(math.inf, diff)
+    return TrialStats(
+        trials=config.trials,
+        successes=successes,
+        empirical_p=empirical,
+        analytic_p=analytic,
+        std_error=std_error,
+        z_score=z,
+        outcome_histogram=histogram,
+        seed=config.seed,
+    )

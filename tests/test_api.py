@@ -3,9 +3,11 @@ import importlib
 import pytest
 
 import wdistill
-from wdistill import cavity, errors, protocol
+from wdistill import cavity, errors, montecarlo, protocol
 
-REMOVED = ("AtomicWPrimeSpec", "ramsey_phase", "sample_site", "TruncationError")
+# trial_uniforms (the matrix-form sampler's uniforms) lives on in
+# tests/support/sampler.py
+REMOVED = ("AtomicWPrimeSpec", "ramsey_phase", "sample_site", "TruncationError", "trial_uniforms")
 # dense state-vector names: the package runs in the single-excitation sector,
 # and these live on only as the test oracle in tests/support
 DENSE = (
@@ -29,7 +31,7 @@ def test_every_exported_name_resolves():
 @pytest.mark.parametrize("name", REMOVED)
 def test_removed_name_is_gone(name):
     assert name not in wdistill.__all__
-    for module in (wdistill, cavity, errors, protocol):
+    for module in (wdistill, cavity, errors, montecarlo, protocol):
         assert not hasattr(module, name), f"{module.__name__}.{name}"
 
 

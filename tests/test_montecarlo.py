@@ -1,21 +1,29 @@
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import random_spec
-from support import dense
+from support import dense, sampler
+from support.sampler import trial_uniforms
 from support.statevec import project_site, site_distribution
-from wdistill.cavity import JCParams
+from wdistill import montecarlo
+from wdistill.cavity import JCParams, evolved_physical_state
+from wdistill.cli import load_spec
 from wdistill.errors import ValidationError
 from wdistill.montecarlo import (
     TrialConfig,
     TrialStats,
+    _zero_limits,
+    _zero_prefix_cdfs,
     confidence_interval,
     run_trials,
-    trial_uniforms,
 )
-from wdistill.protocol import WPrimeSpec, run_exact
+from wdistill.protocol import WPrimeSpec, evolved_joint_state, run_exact
+
+NEAR_TIE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "near_tie.json")
 
 
 def wilson_oracle(p: float, n: int, z: float) -> tuple[float, float]:
@@ -172,6 +180,110 @@ class TestRunTrials:
         for seed in range(5):
             stats = run_trials(worked_spec, TrialConfig(trials=1, seed=seed))
             assert stats.empirical_p in (0.0, 1.0)
+
+
+def _streaming_specs():
+    rng = np.random.default_rng(77)
+    specs = {f"random{n}": random_spec(rng, n) for n in range(2, 10)}
+    specs["near_tie"] = load_spec(NEAR_TIE)[0]
+    specs["uniform"] = WPrimeSpec.from_coefficients([0.5] * 4)  # p = 1: no trial fails
+    # p ~ 0.007: conditional zero-probabilities below 1/2, whose thresholds
+    # cdf[t, 0] * 2^53 are not integers
+    skewed = np.array([1.0, 0.3j, 0.05, -0.6])
+    specs["skewed"] = WPrimeSpec.from_coefficients(skewed / np.linalg.norm(skewed))
+    return specs
+
+
+STREAMING_SPECS = _streaming_specs()
+FOCK = (None, 1, 2, 3)  # None: the abstract scheme
+# chunk size -> trial count; None runs all trials as one chunk
+CHUNK_TRIALS = {1: 301, 7: 2_000, 4096: 10_001, None: 10_001}
+
+
+def _params(fock: int) -> JCParams:
+    return JCParams(omega=13.5, omega0=13.5, epsilon=0.7, fock_cutoff=fock)
+
+
+def _config(trials: int, seed: int, fock: int | None) -> TrialConfig:
+    if fock is None:
+        return TrialConfig(trials=trials, seed=seed)
+    return TrialConfig(trials=trials, seed=seed, scheme="cavity", params=_params(fock))
+
+
+def _cdfs(spec: WPrimeSpec, fock: int | None) -> np.ndarray:
+    if fock is None:
+        return _zero_prefix_cdfs(evolved_joint_state(spec)[0])
+    return _zero_prefix_cdfs(evolved_physical_state(spec, _params(fock))[0])
+
+
+class TestStreaming:
+    @pytest.mark.parametrize("fock", FOCK)
+    @pytest.mark.parametrize("name", sorted(STREAMING_SPECS))
+    def test_chunking_never_changes_the_stats(self, monkeypatch, name, fock):
+        spec = STREAMING_SPECS[name]
+        seed = 17 * spec.n + (fock or 0)
+        for chunk, trials in CHUNK_TRIALS.items():
+            config = _config(trials, seed, fock)
+            expected = sampler.run_trials(spec, config)
+            monkeypatch.setattr(montecarlo, "_CHUNK", chunk or trials)
+            stats = run_trials(spec, config)
+            assert stats == expected, chunk
+            assert list(stats.outcome_histogram) == list(expected.outcome_histogram)
+
+    @pytest.mark.parametrize("fock", FOCK)
+    @pytest.mark.parametrize("name", sorted(STREAMING_SPECS))
+    def test_integer_rule_matches_inverse_cdf_at_the_boundary(self, name, fock):
+        cdfs = _cdfs(STREAMING_SPECS[name], fock)
+        limits = _zero_limits(cdfs)
+        for cdf, limit in zip(cdfs, limits):
+            thr = cdf[0] * 2.0**53
+            for k in {math.floor(thr) - 1, math.floor(thr), math.ceil(thr), 2**53 - 1}:
+                if not 0 <= k < 2**53:
+                    continue
+                inverse_cdf_zero = np.searchsorted(cdf, k * 2.0**-53, side="right") == 0
+                assert (np.uint64(k) < limit) == inverse_cdf_zero, (cdf, k)
+
+    def test_tally_compares_the_draw_with_the_limit(self):
+        # trial 0's first draw k sits exactly on the limit: k < k reads 1,
+        # k < k + 1 reads 0
+        seed = 2024
+        k = int(trial_uniforms(seed, 1, 1)[0, 0] * 2.0**53)
+        on_limit = montecarlo._tally(seed, 1, np.array([k], dtype=np.uint64))
+        above = montecarlo._tally(seed, 1, np.array([k + 1], dtype=np.uint64))
+        assert (on_limit[0], list(on_limit[1])) == (0, [1])
+        assert (above[0], list(above[1])) == (1, [0])
+
+    def test_rounded_cdf_reports_digit_one(self):
+        # where cdf[t, 1] rounds below 1, the largest draw u = 1 - 2^-53 lies
+        # past it: the clamped inverse CDF reads digit fock, an outcome
+        # outside the sector with probability 0; the integer rule reads it
+        # as a failure, which run_trials keys "0"*t + "1"
+        u = 1.0 - 2.0**-53
+        rounded = 0
+        for fock in (2, 3):
+            for spec in STREAMING_SPECS.values():
+                cdfs = _cdfs(spec, fock)
+                for cdf, limit in zip(cdfs, _zero_limits(cdfs)):
+                    if cdf[1] > u:
+                        continue
+                    rounded += 1
+                    clamped = min(int(np.searchsorted(cdf, u, side="right")), len(cdf) - 1)
+                    assert clamped == fock and cdf[fock] - cdf[1] == 0.0
+                    assert not np.uint64(2**53 - 1) < limit
+        assert rounded > 0
+
+    def test_memory_is_flat_in_trials(self):
+        # the matrix form holds >= 112 MB here (10^6 x 7 float64 uniforms
+        # plus int64 outcomes)
+        spec = STREAMING_SPECS["random8"]
+        run_trials(spec, TrialConfig(trials=10, seed=1))  # warm caches
+        tracemalloc.start()
+        try:
+            run_trials(spec, TrialConfig(trials=1_000_000, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestConfidenceInterval:
