@@ -11,42 +11,27 @@ probabilities empirically.
 """
 __version__ = "0.1.0"
 
-from .cavity import (
-    CavityStepPlan,
-    JCParams,
-    jc_propagator_closed,
-    optimal_interaction_time,
-    run_physical,
-)
+from .cavity import JCParams, run_physical
 from .montecarlo import TrialConfig, TrialStats, confidence_interval, run_trials
 from .protocol import (
     DistillationReport,
-    StepPlan,
     WPrimeSpec,
     analytic_success_probability,
-    build_step_unitary,
     make_w_state,
     phase_correction,
-    plan,
     run_exact,
 )
 
 __all__ = [
-    "CavityStepPlan",
     "DistillationReport",
     "JCParams",
-    "StepPlan",
     "TrialConfig",
     "TrialStats",
     "WPrimeSpec",
     "analytic_success_probability",
-    "build_step_unitary",
     "confidence_interval",
-    "jc_propagator_closed",
     "make_w_state",
-    "optimal_interaction_time",
     "phase_correction",
-    "plan",
     "run_exact",
     "run_physical",
     "run_trials",

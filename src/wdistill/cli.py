@@ -17,7 +17,7 @@ from . import __version__
 from .cavity import JCParams, run_physical
 from .errors import SpecError, ToleranceError, ValidationError
 from .montecarlo import TrialConfig, confidence_interval, run_trials
-from .protocol import DistillationReport, WPrimeSpec, make_w_state, run_exact
+from .protocol import DistillationReport, WPrimeSpec, acting_parties, make_w_state, run_exact
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -91,7 +91,9 @@ def load_spec(path: str, allow_unnormalized: bool = False) -> tuple[WPrimeSpec, 
     The file is JSON: {"coefficients": [[re, im], ...], "normalize": bool}.
     Without the normalize flag the squared magnitudes must sum to 1 within
     1e-6; ingestion always rescales exactly so downstream code sees a unit
-    vector.
+    vector. The squares are taken at a power-of-two scale of the largest
+    component, exact in binary, so no magnitude a double can hold
+    overflows or underflows them.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -109,27 +111,43 @@ def load_spec(path: str, allow_unnormalized: bool = False) -> tuple[WPrimeSpec, 
         raise SpecError("need at least 2 coefficient pairs")
     coeffs = []
     for i, row in enumerate(rows):
-        ok = (
-            isinstance(row, (list, tuple))
-            and len(row) == 2
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row)
-            and all(math.isfinite(float(x)) for x in row)
-        )
+        try:
+            ok = (
+                isinstance(row, (list, tuple))
+                and len(row) == 2
+                and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row)
+                and all(math.isfinite(float(x)) for x in row)
+            )
+        except OverflowError:  # an integer beyond the double range
+            ok = False
         if not ok:
             raise SpecError(f"coefficient {i}: expected a [re, im] pair of finite numbers")
         coeffs.append(complex(float(row[0]), float(row[1])))
     normalize = doc.get("normalize", False)
     if not isinstance(normalize, bool):
         raise SpecError("'normalize' must be a boolean")
-    total = sum(abs(c) ** 2 for c in coeffs)
-    if total == 0.0:
+    peak = max(max(abs(c.real), abs(c.imag)) for c in coeffs)
+    if peak == 0.0:
         raise SpecError("all coefficients are zero")
-    if not (normalize or allow_unnormalized) and abs(total - 1.0) > FILE_NORM_TOL:
+    e = math.frexp(peak)[1]
+    total = sum(abs(complex(math.ldexp(c.real, -e), math.ldexp(c.imag, -e))) ** 2 for c in coeffs)
+    if not (normalize or allow_unnormalized):
+        try:
+            norm_sq = math.ldexp(total, 2 * e)
+        except OverflowError:
+            norm_sq = math.inf
+        if abs(norm_sq - 1.0) > FILE_NORM_TOL:
+            raise SpecError(
+                f"sum of squared magnitudes is {norm_sq!r}, not 1 within {FILE_NORM_TOL} "
+                "(pass --allow-unnormalized or set \"normalize\": true to rescale)"
+            )
+    try:
+        factor = math.ldexp(1.0 / math.sqrt(total), -e)
+    except OverflowError:
         raise SpecError(
-            f"sum of squared magnitudes is {total!r}, not 1 within {FILE_NORM_TOL} "
-            "(pass --allow-unnormalized or set \"normalize\": true to rescale)"
-        )
-    factor = 1.0 / math.sqrt(total)
+            f"largest coefficient component {peak!r} is too small to rescale: "
+            "the normalization factor overflows"
+        ) from None
     return WPrimeSpec.from_coefficients([c * factor for c in coeffs]), factor
 
 
@@ -173,10 +191,6 @@ def _exact_report(spec: WPrimeSpec, factor: float, scheme: str, report: Distilla
 
 def _jc_params(args) -> JCParams:
     """Resonant JC parameters from the --epsilon/--omega/--fock flags."""
-    if args.epsilon <= 0:
-        raise SpecError(f"epsilon must be positive, got {args.epsilon}")
-    if args.fock < 1:
-        raise SpecError(f"fock cutoff must be >= 1, got {args.fock}")
     return JCParams(omega=args.omega, omega0=args.omega, epsilon=args.epsilon, fock_cutoff=args.fock)
 
 
@@ -193,7 +207,8 @@ def cmd_cavity(args) -> int:
     report = run_physical(spec, params)
     doc = _exact_report(spec, factor, "cavity", report)
     doc["jc_params"] = dataclasses.asdict(params)
-    doc["steps"] = [{"user": p.k + 1, "delta_t": p.delta_t} for p in report.cavity_steps]
+    users = (acting_parties(spec) + 1).tolist()
+    doc["steps"] = [{"user": k, "delta_t": t} for k, t in zip(users, report.cavity_steps.tolist())]
     _emit(render_report(doc), args.out)
     return EXIT_OK
 

@@ -7,10 +7,6 @@ to exit code 3.
 from __future__ import annotations
 
 
-class ShapeError(ValueError):
-    """Array/matrix dimensions are inconsistent with the operation."""
-
-
 class ValidationError(ValueError):
     """An input violates a documented precondition or invariant."""
 

@@ -11,14 +11,17 @@ N * min|c_i|^2. All indices are 0-based internally; user-facing output is
 
 Every step conserves excitation number, so the joint state never leaves the
 2N-1 kets "particle m excited" / "ancilla t excited" (SectorState), and only
-N of the measurement patterns can occur. A run therefore costs O(N).
+N of the measurement patterns can occur. Inside that sector a step is a 2x2
+rotation of (party k excited, its ancilla excited) times a phase on every
+other ket, so the runtime describes each step by two closed-form block
+entries and applies all of them at once: a run costs O(N).
 """
 from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -78,15 +81,6 @@ class WPrimeSpec:
         return cls(len(coeffs), coeffs)
 
 
-@dataclass(frozen=True)
-class StepPlan:
-    """One party's local move: the 4x4 joint unitary on (ancilla, qubit)."""
-
-    k: int
-    z_k: complex
-    u_k: np.ndarray
-
-
 @dataclass(frozen=True, eq=False)
 class SectorState:
     """Particles plus measured modes (ancillas or cavities), restricted to
@@ -133,10 +127,6 @@ class BranchRecord:
             return "0" * self.n_modes
         return "0" * self.fired + "1" + "0" * (self.n_modes - self.fired - 1)
 
-    @property
-    def pattern(self) -> tuple[int, ...]:
-        return tuple(map(int, self.digits))
-
 
 @dataclass(frozen=True)
 class DistillationReport:
@@ -147,7 +137,9 @@ class DistillationReport:
     final_state: np.ndarray
     fidelity_with_w: float
     min_index: int
-    cavity_steps: tuple | None = None
+    # cavity scheme: interaction time of each acting party's pass, in
+    # acting_parties order
+    cavity_steps: np.ndarray | None = None
 
 
 def make_w_state(n: int) -> np.ndarray:
@@ -168,34 +160,23 @@ def min_coefficient_index(coeffs, tol: float = MAG_TIE_TOL) -> int:
     raise AssertionError("unreachable")
 
 
-def build_step_unitary(spec: WPrimeSpec, k: int) -> StepPlan:
-    """Joint unitary for party k, in the basis ordered (ancilla bit, qubit bit).
+def acting_parties(spec: WPrimeSpec) -> np.ndarray:
+    """Every party but spec.min_index, ascending: the order of the steps and
+    of the measured modes (mode t belongs to party acting_parties(spec)[t])."""
+    return np.delete(np.arange(spec.n), spec.min_index)
 
-    Basis order is {|0 0a>, |1 0a>, |0 1a>, |1 1a>}: the ancilla is the high
-    bit. The |1 0a> -> |1 0a> entry is z_k = min|c_i| / c_k, which rescales
-    (and de-phases) party k's excitation amplitude to min|c_i|.
+
+def ancilla_steps(spec: WPrimeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(keep, fire): block entries of every acting party's ancilla step.
+
+    Party k's two-qubit unitary is the identity on |0,0a> and the rotation
+    [[z_k, -s_k], [s_k, conj z_k]] on (|1,0a>, |0,1a>), with z_k =
+    min|c_i| / c_k and s_k = sqrt(1 - |z_k|^2): the excited qubit keeps
+    keep = z_k of its amplitude, which rescales (and de-phases) it to
+    min|c_i|, and hands fire = s_k to its ancilla.
     """
-    if not 0 <= k < spec.n:
-        raise ValidationError(f"party index {k} out of range")
-    if k == spec.min_index:
-        raise ValidationError(f"party {k} holds the minimal coefficient and must not rotate")
-    z = spec.min_magnitude / spec.coeffs[k]
-    s = math.sqrt(max(0.0, 1.0 - abs(z) ** 2))
-    u = np.array(
-        [
-            [1, 0, 0, 0],
-            [0, z, -s, 0],
-            [0, s, z.conjugate(), 0],
-            [0, 0, 0, 1],
-        ],
-        dtype=np.complex128,
-    )
-    return StepPlan(k=k, z_k=z, u_k=u)
-
-
-def plan(spec: WPrimeSpec) -> tuple[StepPlan, ...]:
-    """The N-1 step unitaries in ascending party order, skipping spec.min_index."""
-    return tuple(build_step_unitary(spec, k) for k in range(spec.n) if k != spec.min_index)
+    keep = spec.min_magnitude / np.asarray(spec.coeffs)[acting_parties(spec)]
+    return keep, np.sqrt(np.maximum(0.0, 1.0 - np.abs(keep) ** 2))
 
 
 def analytic_success_probability(spec: WPrimeSpec) -> float:
@@ -203,69 +184,35 @@ def analytic_success_probability(spec: WPrimeSpec) -> float:
     return spec.n * spec.min_magnitude**2
 
 
-def _leak_mask(dim: int, vac: int, pair: tuple[int, int]) -> np.ndarray:
-    """Entries of a dim x dim step matrix that link the local vacuum ket or
-    the one-excitation pair to a ket outside that class."""
-    inside = [vac, *pair]
-    mask = np.zeros((dim, dim), dtype=bool)
-    mask[inside, :] = True
-    mask[:, inside] = True
-    mask[vac, vac] = False
-    mask[np.ix_(pair, pair)] = False
-    return mask
+def evolve_sector(coeffs, users, keep, fire, spectator: complex, mode_dim: int) -> SectorState:
+    """Apply every step to sum_m coeffs[m] |particle m excited> at once.
 
-
-def evolve_sector(
-    coeffs, steps: Iterable[tuple[int, np.ndarray]], vac: int, pair: tuple[int, int], mode_dim: int
-) -> SectorState:
-    """Apply local step matrices to sum_m coeffs[m] |particle m excited>.
-
-    steps yields (party k, matrix u) in measurement order; step t couples
-    particle k to mode t, which starts empty. Each u is read in its own
-    local basis: u[vac, vac] is the phase a spectator ket picks up (the
-    excitation sits elsewhere) and u[pair, pair] acts on (particle k
-    excited, mode t excited). Every other entry linking those three kets to
-    any ket must be exactly zero, else ToleranceError: the step would leave
-    the single-excitation sector.
-
-    Amplitudes are kept relative to the running product of spectator
-    phases, so a step rescales only its own two kets (by its block over its
-    spectator phase) and the product multiplies every amplitude once at the
-    end: O(N) work for N parties.
+    Step t couples particle users[t] (distinct parties) to mode t, which
+    starts empty. In the single-excitation sector it multiplies every ket
+    by its spectator phase and, relative to that phase, sends
+    |particle users[t] excited> to keep[t] times itself plus fire[t] times
+    |mode t excited>. spectator is the product of the N-1 spectator phases,
+    the phase of a ket no step acts on; it multiplies every amplitude once.
     """
     particles = np.array(coeffs, dtype=np.complex128)
-    modes = []
-    spectator = 1.0
-    mask = None
-    for k, u in steps:
-        if mask is None:
-            mask = _leak_mask(len(u), vac, pair)
-        if u[mask].any():
-            raise ToleranceError(
-                f"step matrix of party {k + 1} couples the single-excitation sector to other kets"
-            )
-        phase = u[vac, vac]
-        acting = particles[k]
-        particles[k] = u[pair[0], pair[0]] / phase * acting
-        modes.append(u[pair[1], pair[0]] / phase * acting)
-        spectator *= phase
-    amps = np.concatenate((particles, np.array(modes, dtype=np.complex128)))
+    acting = particles[users]
+    particles[users] = keep * acting
+    amps = np.concatenate((particles, fire * acting))
     if spectator != 1.0:
         amps *= spectator
     amps.setflags(write=False)
     return SectorState(len(particles), amps, mode_dim)
 
 
-def evolved_joint_state(spec: WPrimeSpec) -> tuple[SectorState, tuple[int, ...]]:
-    """Particles + ancillas after every step unitary, before measurement.
+def evolved_joint_state(spec: WPrimeSpec) -> tuple[SectorState, np.ndarray]:
+    """Particles + ancillas after every ancilla step, before measurement.
 
     Returns (state, acting parties in measurement order): ancilla t belongs
     to party users[t]. Shared by the exact runner and the trajectory sampler.
     """
-    users = tuple(k for k in range(spec.n) if k != spec.min_index)
-    steps = ((k, build_step_unitary(spec, k).u_k) for k in users)
-    # basis of u_k puts the ancilla bit high: |1,0a> is index 1, |0,1a> index 2
-    return evolve_sector(spec.coeffs, steps, vac=0, pair=(1, 2), mode_dim=2), users
+    users = acting_parties(spec)
+    keep, fire = ancilla_steps(spec)
+    return evolve_sector(spec.coeffs, users, keep, fire, 1.0, mode_dim=2), users
 
 
 def zero_prefix_weights(state: SectorState) -> np.ndarray:

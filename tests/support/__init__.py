@@ -1,9 +1,21 @@
 """Dense reference implementation the tests hold the sector engine against.
 
 `statevec` and `linalg` are the tensor-product state vectors and small
-matrix routines the simulator used to run on; `dense` is its dense
-evolve -> branch walk -> phase correction -> fidelity path, plus the
-Jaynes-Cummings Hamiltonian whose eigendecomposition checks the closed-form
-cavity propagator; `sampler` is the matrix-form Monte Carlo sampler the
-streaming one is checked against. Nothing here is imported by the package.
+matrix routines the simulator used to run on; `steps` builds the full
+per-party step matrices (the two-qubit unitary and the closed-form
+Jaynes-Cummings propagator) whose blocks the package computes in closed
+form; `dense` is the dense evolve -> branch walk -> phase correction ->
+fidelity path over those matrices, plus the Jaynes-Cummings Hamiltonian
+whose eigendecomposition checks the closed-form propagator; `sampler` is
+the matrix-form Monte Carlo sampler the streaming one is checked against.
+Nothing here is imported by the package.
 """
+
+
+class ShapeError(ValueError):
+    """Array/matrix dimensions are inconsistent with the operation."""
+
+
+def pattern(record) -> tuple[int, ...]:
+    """A sector BranchRecord's outcome pattern as the dense records spell it."""
+    return tuple(map(int, record.digits))

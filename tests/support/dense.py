@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from wdistill.cavity import JCParams, _jc_index, jc_propagator_closed, physical_plan
+from wdistill.cavity import JCParams
 from wdistill.errors import ToleranceError, UnsupportedModeError, ValidationError
 from wdistill.protocol import (
     FIDELITY_TOL,
@@ -24,7 +24,6 @@ from wdistill.protocol import (
     DistillationReport,
     WPrimeSpec,
     analytic_success_probability,
-    plan,
 )
 
 from .statevec import (
@@ -37,6 +36,7 @@ from .statevec import (
     single_excitation_state,
     site_distribution,
 )
+from .steps import _jc_index, jc_propagator_closed, physical_plan, plan
 
 
 @dataclass(frozen=True)
@@ -259,7 +259,8 @@ def run_physical(spec: WPrimeSpec, params: JCParams) -> DistillationReport:
         - (p.accrued_phases["unaffected"] - p.accrued_phases["acting"])
         for p in plans
     }
-    return replace(distill(spec, state, cavity_sites, ledger), cavity_steps=plans)
+    dt = np.array([p.delta_t for p in plans])
+    return replace(distill(spec, state, cavity_sites, ledger), cavity_steps=dt)
 
 
 def zero_prefix_cdfs(state: StateVector, sites) -> list[np.ndarray]:

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from wdistill.errors import ShapeError, ValidationError
+from wdistill.errors import ValidationError
+
+from . import ShapeError
 
 ALGEBRAIC_TOL = 1e-12
 DECOMP_TOL = 1e-10

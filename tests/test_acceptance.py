@@ -13,19 +13,14 @@ from conftest import WORKED_COEFFS, random_spec
 from support import dense
 from support.linalg import is_unitary, propagator
 from support.statevec import StateVector, apply_local, drop_collapsed_sites, project_site
-from wdistill.cavity import (
-    JCParams,
-    jc_propagator_closed,
-    optimal_interaction_time,
-    run_physical,
-)
+from support.steps import jc_propagator_closed, plan
+from wdistill.cavity import JCParams, jc_steps, run_physical
 from wdistill.cli import main
 from wdistill.montecarlo import TrialConfig, run_trials
 from wdistill.protocol import (
     WPrimeSpec,
+    acting_parties,
     analytic_success_probability,
-    min_coefficient_index,
-    plan,
     run_exact,
 )
 
@@ -144,17 +139,15 @@ def test_criterion_6_timing_law():
         spec = random_spec(rng, int(rng.integers(2, 8)))
         eps = rng.uniform(0.5, 5.0)
         min_mag = min(abs(c) for c in spec.coeffs)
-        j = min_coefficient_index(spec.coeffs)
-        for k in range(spec.n):
-            if k == j:
-                continue
-            dt = optimal_interaction_time(spec, k, eps).delta_t
+        dts = jc_steps(spec, JCParams(omega=1.0, omega0=1.0, epsilon=eps))[0]
+        for k, dt in zip(acting_parties(spec), dts):
             resid = abs(abs(spec.coeffs[k]) * math.cos(eps * dt) - min_mag)
             if resid > 1e-12:
                 failures.append(f"timing identity residual {resid!r}")
-    worked = optimal_interaction_time(WPrimeSpec.from_coefficients(WORKED_COEFFS), 0, 1.0)
-    if abs(worked.delta_t - 0.8860771) > 1e-7:
-        failures.append(f"worked interaction time {worked.delta_t!r} vs 0.8860771")
+    worked = WPrimeSpec.from_coefficients(WORKED_COEFFS)
+    dt = jc_steps(worked, JCParams(omega=1.0, omega0=1.0, epsilon=1.0))[0][0]
+    if abs(dt - 0.8860771) > 1e-7:
+        failures.append(f"worked interaction time {dt!r} vs 0.8860771")
     _finish(6, "interaction times satisfy |c_k| cos(eps dt) = min|c_i|", failures)
 
 

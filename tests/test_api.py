@@ -3,11 +3,30 @@ import importlib
 import pytest
 
 import wdistill
-from wdistill import cavity, errors, montecarlo, protocol
+from wdistill import cavity, cli, errors, montecarlo, protocol
 
+MODULES = (wdistill, cavity, cli, errors, montecarlo, protocol)
 # trial_uniforms (the matrix-form sampler's uniforms) lives on in
-# tests/support/sampler.py
-REMOVED = ("AtomicWPrimeSpec", "ramsey_phase", "sample_site", "TruncationError", "trial_uniforms")
+# tests/support/sampler.py; the per-party step matrices and their plans
+# (StepPlan ... physical_plan) and ShapeError in tests/support/steps.py
+# and tests/support/__init__.py
+REMOVED = (
+    "AtomicWPrimeSpec",
+    "ramsey_phase",
+    "sample_site",
+    "TruncationError",
+    "trial_uniforms",
+    "StepPlan",
+    "build_step_unitary",
+    "plan",
+    "_leak_mask",
+    "CavityStepPlan",
+    "jc_propagator_closed",
+    "_jc_index",
+    "optimal_interaction_time",
+    "physical_plan",
+    "ShapeError",
+)
 # dense state-vector names: the package runs in the single-excitation sector,
 # and these live on only as the test oracle in tests/support
 DENSE = (
@@ -31,8 +50,13 @@ def test_every_exported_name_resolves():
 @pytest.mark.parametrize("name", REMOVED)
 def test_removed_name_is_gone(name):
     assert name not in wdistill.__all__
-    for module in (wdistill, cavity, errors, montecarlo, protocol):
+    for module in MODULES:
         assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_branch_records_spell_no_pattern_tuple():
+    # tests read .digits, or support.pattern for the dense oracle's tuples
+    assert not hasattr(protocol.BranchRecord, "pattern")
 
 
 @pytest.mark.parametrize("name", DENSE)

@@ -1,5 +1,6 @@
 import cmath
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,20 +8,14 @@ import pytest
 from conftest import random_spec
 from support.dense import jc_hamiltonian
 from support.linalg import is_unitary, propagator
-from wdistill.cavity import (
-    JCParams,
-    evolved_physical_state,
-    jc_propagator_closed,
-    optimal_interaction_time,
-    physical_plan,
-    run_physical,
-)
+from support.steps import jc_propagator_closed, optimal_interaction_time, physical_plan
+from wdistill.cavity import JCParams, evolved_physical_state, jc_steps, run_physical
 from wdistill.errors import (
     DegenerateCoefficientError,
     UnsupportedModeError,
     ValidationError,
 )
-from wdistill.protocol import WPrimeSpec, min_coefficient_index, run_exact
+from wdistill.protocol import WPrimeSpec, acting_parties, min_coefficient_index, run_exact
 
 
 def total_excitation(fock_dim: int, index: int) -> int:
@@ -41,6 +36,11 @@ class TestJCParams:
         with pytest.raises(ValidationError):
             JCParams(omega=5, omega0=5, epsilon=-1.0)
 
+    def test_rejects_zero_coupling(self):
+        # eps = 0 never rescales: dt = arccos(r) / eps would divide by zero
+        with pytest.raises(ValidationError, match="epsilon must be > 0"):
+            JCParams(omega=5, omega0=5, epsilon=0.0)
+
     def test_rejects_zero_cutoff(self):
         with pytest.raises(ValidationError):
             JCParams(omega=5, omega0=5, epsilon=1.0, fock_cutoff=0)
@@ -52,7 +52,8 @@ class TestJCParams:
 
 class TestJCHamiltonian:
     def test_decoupled_limit_is_diagonal(self):
-        params = JCParams(omega=3.0, omega0=2.0, epsilon=0.0, fock_cutoff=2)
+        # JCParams rejects eps = 0, which the protocol cannot use
+        params = SimpleNamespace(omega=3.0, omega0=2.0, epsilon=0.0, fock_cutoff=2)
         h = jc_hamiltonian(params)
         expected = np.diag([-1.0, 2.0, 5.0, 1.0, 4.0, 7.0])  # w*n -+ w0/2, atom slow index
         np.testing.assert_allclose(h, expected, atol=1e-15)
@@ -122,6 +123,15 @@ class TestOptimalInteractionTime:
         spec = WPrimeSpec.from_coefficients([math.sqrt(0.5), 0.5, 0.5])
         assert optimal_interaction_time(spec, 2, 1.0).delta_t == 0.0
 
+    def test_exact_tie_interacts_for_zero_time(self):
+        # abs(c) rounds to 0.49999999999999994 but a vectorized |c| may give
+        # 0.5: jc_steps must round the tied party's |c_k| as min|c_i| was
+        c = complex(-0.42572406775439253, 0.26221940838666646)
+        spec = WPrimeSpec.from_coefficients([math.sqrt(0.5), c, c])
+        dt = jc_steps(spec, JCParams(omega=5, omega0=5, epsilon=1))[0]
+        assert acting_parties(spec).tolist() == [0, 2]
+        assert dt[1] == 0.0
+
     def test_worked_value(self, worked_spec):
         plan = optimal_interaction_time(worked_spec, 0, 1.0)
         assert plan.delta_t == pytest.approx(0.8860771237926137, abs=1e-12)
@@ -171,13 +181,13 @@ class TestRunPhysical:
         report = run_physical(worked_spec, params)
         assert report.success_probability_exact == pytest.approx(0.6, abs=1e-10)
         assert report.fidelity_with_w == pytest.approx(1.0, abs=1e-12)
-        dts = [p.delta_t for p in report.cavity_steps]
+        dts = report.cavity_steps.tolist()
         assert dts == pytest.approx([0.8860771237926137, 0.6154797086703874], abs=1e-12)
 
     def test_uniform_spec_needs_no_interaction(self):
         spec = WPrimeSpec.from_coefficients([0.5] * 4)
         report = run_physical(spec, JCParams(omega=10, omega0=10, epsilon=2))
-        assert all(p.delta_t == 0.0 for p in report.cavity_steps)
+        assert not report.cavity_steps.any()
         assert report.success_probability_exact == pytest.approx(1.0, abs=1e-10)
 
     def test_matches_abstract_protocol(self):
@@ -200,7 +210,7 @@ class TestRunPhysical:
             assert abs(rep_a.success_probability_exact - rep_b.success_probability_exact) <= 1e-12
             assert np.max(np.abs(rep_a.final_state - rep_b.final_state)) <= 1e-12
             for ra, rb in zip(rep_a.branch_records, rep_b.branch_records):
-                assert ra.pattern == rb.pattern
+                assert ra.digits == rb.digits
                 assert abs(ra.probability - rb.probability) <= 1e-12
 
     def test_rescaled_amplitude_reaches_minimum(self):
@@ -211,10 +221,9 @@ class TestRunPhysical:
             spec = random_spec(rng, int(rng.integers(2, 6)))
             w = rng.uniform(1.0, 50.0)
             params = JCParams(omega=w, omega0=w, epsilon=rng.uniform(0.5, 4.0))
-            state, plans = evolved_physical_state(spec, params)
+            state, _ = evolved_physical_state(spec, params)
             min_mag = min(abs(c) for c in spec.coeffs)
-            for p in plans:
-                amp = state.particles[p.k]
+            for amp in state.particles[acting_parties(spec)]:
                 assert abs(abs(amp) - min_mag) <= 1e-12
 
     def test_cutoff_does_not_change_reports(self, worked_spec):
@@ -225,9 +234,7 @@ class TestRunPhysical:
             )
             assert abs(rep.success_probability_exact - base.success_probability_exact) <= 1e-12
             assert abs(rep.fidelity_with_w - base.fidelity_with_w) <= 1e-12
-            dts_base = [p.delta_t for p in base.cavity_steps]
-            dts = [p.delta_t for p in rep.cavity_steps]
-            assert dts == pytest.approx(dts_base, abs=1e-15)
+            assert rep.cavity_steps.tolist() == pytest.approx(base.cavity_steps.tolist(), abs=1e-15)
 
     def test_complex_phases_repaired(self):
         coeffs = [

@@ -150,6 +150,20 @@ class TestCavity:
     def test_zero_coupling_exits_2(self, worked_path):
         assert main(["cavity", worked_path, "--epsilon", "0"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["cavity", "--epsilon", "0"], "coupling epsilon must be > 0, got 0.0"),
+            (["cavity", "--epsilon", "-2"], "coupling epsilon must be > 0, got -2.0"),
+            (["cavity", "--fock", "0"], "fock_cutoff must be >= 1, got 0"),
+            (["sample", "--scheme", "cavity", "--epsilon", "0"], "coupling epsilon must be > 0, got 0.0"),
+        ],
+    )
+    def test_bad_jc_flags_exit_2(self, capsys, worked_path, argv, message):
+        # JCParams is the one place that checks them
+        assert main([argv[0], worked_path, *argv[1:]]) == 2
+        assert capsys.readouterr().err == f"wdistill: invalid input: {message}\n"
+
     def test_probabilities_independent_of_omega(self, capsys, worked_path):
         _, out_a = run_cli(capsys, "cavity", worked_path, "--omega", "50")
         _, out_b = run_cli(capsys, "cavity", worked_path, "--omega", "9.5")
@@ -301,6 +315,37 @@ class TestUnderflow:
         assert main([argv[0], path, *argv[1:]]) == 2
         err = capsys.readouterr().err
         assert "1e-170" in err and "2.2e-162" in err
+
+
+class TestIngestRange:
+    """Coefficients anywhere in the double range ingest or exit 2, never a traceback."""
+
+    def test_integer_beyond_the_double_range_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"coefficients": [[1, 0], [1' + "0" * 400 + ", 0]]}", encoding="utf-8")
+        assert main(["distill", str(path)]) == 2
+        assert "coefficient 1: expected a [re, im] pair of finite numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mag", [1e200, 1e-200])
+    def test_extreme_magnitudes_normalize(self, capsys, tmp_path, mag):
+        path = write_spec(tmp_path, {"coefficients": [[mag, 0], [mag, 0]], "normalize": True})
+        code, out = run_cli(capsys, "distill", path)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["normalization_factor"] == pytest.approx(1 / (mag * math.sqrt(2)), rel=1e-15)
+        assert doc["success_probability_exact"] == pytest.approx(1.0, abs=1e-15)
+        assert doc["fidelity_with_w"] == pytest.approx(1.0, abs=1e-15)
+
+    def test_zero_message_only_for_an_all_zero_file(self, capsys, tmp_path):
+        path = write_spec(tmp_path, {"coefficients": [[0, 0], [0.0, -0.0]], "normalize": True})
+        assert main(["distill", path]) == 2
+        assert "all coefficients are zero" in capsys.readouterr().err
+
+    def test_unrescalable_subnormal_exits_2(self, capsys, tmp_path):
+        # 1 / (5e-324 * sqrt 2) is beyond the largest double
+        path = write_spec(tmp_path, {"coefficients": [[5e-324, 0], [5e-324, 0]], "normalize": True})
+        assert main(["distill", path]) == 2
+        assert "too small to rescale" in capsys.readouterr().err
 
 
 class TestExitCodes:

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from support import ShapeError
 from support.dense import jc_hamiltonian
 from support.linalg import adjoint, eigh_hermitian, is_unitary, mat_mul, propagator
-from wdistill.cavity import JCParams, jc_propagator_closed
-from wdistill.errors import ShapeError, ValidationError
+from support.steps import jc_propagator_closed
+from wdistill.cavity import JCParams
+from wdistill.errors import ValidationError
 
 
 def expm_series(h: np.ndarray, t: float, terms: int = 80) -> np.ndarray:

@@ -117,7 +117,7 @@ class TestRunTrials:
         trials = 100_000
         stats = run_trials(worked_spec, TrialConfig(trials=trials, seed=5))
         exact = {
-            "".join(map(str, r.pattern)): r.probability
+            r.digits: r.probability
             for r in run_exact(worked_spec).branch_records
         }
         # truncated patterns aggregate the full patterns extending them;

@@ -5,21 +5,21 @@ import numpy as np
 import pytest
 
 from conftest import random_spec
-from support import dense
+from support import dense, pattern
 from support.linalg import is_unitary
 from support.statevec import StateVector, apply_local
-from wdistill.errors import DegenerateCoefficientError, SpecError, ToleranceError, ValidationError
+from support.steps import ANCILLA_PAIR, ANCILLA_VAC, build_step_unitary, leaked_entries, plan
+from wdistill.errors import DegenerateCoefficientError, SpecError, ValidationError
 from wdistill.protocol import (
     WPrimeSpec,
+    acting_parties,
     analytic_success_probability,
-    build_step_unitary,
     evolve_sector,
     evolved_joint_state,
     fidelity,
     make_w_state,
     min_coefficient_index,
     phase_correction,
-    plan,
     run_exact,
 )
 
@@ -183,7 +183,7 @@ class TestRunExact:
         assert report.min_index == 2
 
     def test_worked_branch_probabilities(self, worked_spec):
-        probs = {r.pattern: r.probability for r in run_exact(worked_spec).branch_records}
+        probs = {pattern(r): r.probability for r in run_exact(worked_spec).branch_records}
         assert probs[(1, 0)] == pytest.approx(0.3, abs=1e-12)
         assert probs[(0, 1)] == pytest.approx(0.1, abs=1e-12)
         # the zero-probability pattern is not listed; the dense walk gives it 0
@@ -228,7 +228,7 @@ class TestRunExact:
         for _ in range(10):
             spec = random_spec(rng, int(rng.integers(2, 7)))
             for record in run_exact(spec).branch_records:
-                if record.probability > 0 and any(record.pattern):
+                if record.probability > 0 and record.fired is not None:
                     assert "collapsed" in record.description
 
     def test_probability_bounds_and_uniform_condition(self):
@@ -315,8 +315,9 @@ class TestRunExact:
 
 
 def naive_sector_evolution(coeffs, steps):
-    """Reference for evolve_sector: every step multiplies every other
-    amplitude by its spectator phase, O(N^2) for N parties."""
+    """Reference for evolve_sector: each (party k, 4x4 matrix u) step in
+    turn multiplies every other amplitude by its spectator phase, O(N^2)
+    for N parties."""
     n = len(coeffs)
     amps = np.zeros(2 * n - 1, dtype=complex)
     amps[:n] = coeffs
@@ -352,22 +353,28 @@ class TestEvolveSector:
             for k in rng.permutation(n)[: n - 1]:
                 block = random_unitary(rng, 2)
                 steps.append((int(k), sector_step(np.exp(1j * rng.uniform(0, 7)), block, rng.normal())))
-            state = evolve_sector(coeffs, steps, vac=0, pair=(1, 2), mode_dim=2)
+            users = [k for k, _ in steps]
+            u = np.array([m for _, m in steps])
+            phases = u[:, 0, 0]
+            keep, fire = u[:, 1, 1] / phases, u[:, 2, 1] / phases
+            state = evolve_sector(coeffs, users, keep, fire, np.prod(phases), mode_dim=2)
             assert np.max(np.abs(state.amps - naive_sector_evolution(coeffs, steps))) <= 1e-14
 
     @pytest.mark.parametrize("entry", [(0, 1), (3, 1), (2, 0), (1, 3), (0, 3)])
     def test_rejects_any_coupling_out_of_the_sector(self, entry):
+        # evolve_sector takes block entries only; the matrices they stand for
+        # are checked at test time (tests/test_steps.py) by this detector
         u = sector_step(1.0, np.eye(2))
+        assert leaked_entries(u, ANCILLA_VAC, ANCILLA_PAIR) == []
         u[entry] = 1e-300
-        with pytest.raises(ToleranceError):
-            evolve_sector([0.6, 0.8], [(1, u)], vac=0, pair=(1, 2), mode_dim=2)
+        assert leaked_entries(u, ANCILLA_VAC, ANCILLA_PAIR) == [entry]
 
     def test_accepts_every_constructed_step(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
             spec = random_spec(rng, int(rng.integers(2, 8)))
             state, users = evolved_joint_state(spec)
-            assert users == tuple(s.k for s in plan(spec))
+            assert users.tolist() == [s.k for s in plan(spec)] == acting_parties(spec).tolist()
             assert state.amps.shape == (2 * spec.n - 1,)
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from support import ShapeError
 from support.linalg import propagator
 from support.statevec import (
     StateVector,
@@ -15,7 +16,7 @@ from support.statevec import (
     project_site,
     site_distribution,
 )
-from wdistill.errors import ShapeError, ValidationError
+from wdistill.errors import ValidationError
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
