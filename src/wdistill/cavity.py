@@ -10,7 +10,10 @@ phases are recorded per step and repaired by classical Ramsey-zone pulses.
 Each pass conserves excitation number, so the simulation runs in the same
 single-excitation sector as the abstract scheme: atom k's pass acts on
 {|e,0>, |g,1>} as a 2x2 Rabi rotation and on |g,0> as a phase, whatever the
-Fock cutoff, and jc_steps gives those entries in closed form.
+Fock cutoff, and jc_steps gives those entries in closed form. The cutoff
+therefore changes no result; it stays a validated JCParams field, reported
+with the other parameters. The Ramsey repair is one array of phases, one
+entry per atom (see run_physical).
 
 hbar = 1 throughout. The closed form requires exact resonance (w = w0);
 off-resonant dynamics sit outside the protocol.
@@ -78,7 +81,7 @@ def jc_steps(
     """
     if not params.is_resonant:
         raise UnsupportedModeError("physical protocol requires resonant parameters")
-    c = np.asarray(spec.coeffs)[acting_parties(spec)]
+    c = spec.coeffs[acting_parties(spec)]
     # hypot rounds |c_k| as abs() rounded min|c_i|, which np.abs need not:
     # a party tied at the minimum gets ratio 1 and dt = 0 exactly
     ratio = spec.min_magnitude / np.hypot(c.real, c.imag)
@@ -98,19 +101,19 @@ def evolved_physical_state(spec: WPrimeSpec, params: JCParams) -> tuple[SectorSt
     """
     dt, keep, fire, spectator = jc_steps(spec, params)
     users = acting_parties(spec)
-    return evolve_sector(spec.coeffs, users, keep, fire, spectator, params.fock_cutoff + 1), dt
+    return evolve_sector(spec.coeffs, users, keep, fire, spectator), dt
 
 
 def run_physical(spec: WPrimeSpec, params: JCParams) -> DistillationReport:
     """Run the cavity scheme exactly: evolve, photodetect, Ramsey-repair.
 
     Pass k leaves atom k's excited term carrying arg(c_k) - omega*dt_k
-    relative to the spectator terms; the shared runner undoes exactly that
-    phase on each atom.
+    relative to the spectator terms, and the minimal atom, which no pass
+    acts on, keeps arg(c_j); the shared runner undoes exactly these phases.
     """
     state, dt = evolved_physical_state(spec, params)
-    ledger = {
-        k: cmath.phase(spec.coeffs[k]) - params.omega * t
-        for k, t in zip(acting_parties(spec).tolist(), dt.tolist())
-    }
-    return replace(distill(spec, state, ledger), cavity_steps=dt)
+    # cmath.phase, not np.angle: np.angle's SIMD path differs from atan2 by
+    # an ulp on some inputs, which would make report bytes CPU-dependent
+    phases = np.fromiter(map(cmath.phase, spec.coeffs.tolist()), np.float64, spec.n)
+    phases[acting_parties(spec)] -= params.omega * dt
+    return replace(distill(spec, state, phases), cavity_steps=dt)

@@ -13,6 +13,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import __version__
 from .cavity import JCParams, run_physical
 from .errors import SpecError, ToleranceError, ValidationError
@@ -148,21 +150,34 @@ def load_spec(path: str, allow_unnormalized: bool = False) -> tuple[WPrimeSpec, 
             f"largest coefficient component {peak!r} is too small to rescale: "
             "the normalization factor overflows"
         ) from None
-    return WPrimeSpec.from_coefficients([c * factor for c in coeffs]), factor
+    return WPrimeSpec([c * factor for c in coeffs]), factor
 
 
 # ---------------------------------------------------------------------------
 # report assembly
 
 def _branch_rows(report: DistillationReport) -> list[dict]:
-    return [
+    """The reachable outcome patterns in lexicographic order: success
+    (every mode reads 0), then each mode that can fire, the last first."""
+    fire = report.fire_probabilities
+    n_modes = len(fire)
+    rows = [
         {
-            "pattern": r.digits,
-            "probability": float(r.probability),
-            "description": r.description,
+            "pattern": "0" * n_modes,
+            "probability": report.success_probability_exact,
+            "description": "success: particles carry the distilled state",
         }
-        for r in report.branch_records
     ]
+    failure = f"failure: particles collapsed to |{'0' * (n_modes + 1)}>"
+    for t in np.flatnonzero(fire)[::-1].tolist():
+        rows.append(
+            {
+                "pattern": "0" * t + "1" + "0" * (n_modes - t - 1),
+                "probability": float(fire[t]),
+                "description": failure,
+            }
+        )
+    return rows
 
 
 def _base_report(spec: WPrimeSpec, factor: float, scheme: str) -> dict:
@@ -256,7 +271,7 @@ def cmd_sweep(args) -> int:
     for i in range(1, args.steps + 1):
         m = (i / args.steps) * (1.0 / n)
         rest = math.sqrt((1.0 - m) / (n - 1))
-        spec = WPrimeSpec.from_coefficients([rest] * (n - 1) + [math.sqrt(m)])
+        spec = WPrimeSpec([rest] * (n - 1) + [math.sqrt(m)])
         report = run_exact(spec)
         lines.append(
             f"{format(m, '.17g')},{format(report.success_probability_analytic, '.17g')},"

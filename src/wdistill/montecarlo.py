@@ -10,8 +10,10 @@ A trial measures its ancillas/cavities in protocol order against the exact
 conditional Born probabilities, one draw per measured site; the draw's top
 53 bits k give the uniform u = k * 2^-53. The outcome is the inverse CDF in
 outcome-index order, and inside the single-excitation sector only two
-outcomes occur: 0 when u < cdf[t, 0], evaluated exactly as the integer
-comparison k < ceil(cdf[t, 0] * 2^53), else 1. A trial stops at the first
+outcomes occur: 0 when u < P(mode t reads 0 | modes before it read 0) =
+R[t+1]/R[t], R being the remaining weights of zero_prefix_weights, else 1.
+That comparison is evaluated exactly as the integer one
+k < ceil(R[t+1]/R[t] * 2^53) (_zero_limits). A trial stops at the first
 non-|0>/non-vacuum detection; failure branches cannot recover, so this
 truncation does not change the success/failure classification.
 
@@ -84,30 +86,20 @@ def _mix64(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return np.bitwise_xor(x, np.right_shift(x, np.uint64(31), out=scratch), out=x)
 
 
-def _zero_prefix_cdfs(state: SectorState) -> np.ndarray:
-    """Cumulative conditional outcome distributions of each measured mode,
-    given that every earlier mode read 0 (row t: mode t over its mode_dim
-    outcomes). Inside the single-excitation sector only outcomes 0 and 1
-    occur: mode t reads 1 with probability |a_t|^2 / R[t], R being the
-    running remaining weight of zero_prefix_weights."""
-    remaining = zero_prefix_weights(state)
-    if remaining[-1] == 0.0:
-        raise ToleranceError("all-zero measurement prefix has zero probability")
-    probs = np.zeros((len(remaining) - 1, state.mode_dim))
-    probs[:, 0] = remaining[1:] / remaining[:-1]
-    probs[:, 1] = np.abs(state.modes) ** 2 / remaining[:-1]
-    return np.cumsum(probs, axis=1)
-
-
-def _zero_limits(cdfs: np.ndarray) -> np.ndarray:
+def _zero_limits(state: SectorState) -> np.ndarray:
     """Integer form of the inverse-CDF rule: draw h reads 0 at step t iff
     (h >> 11) < limits[t].
 
-    A draw is u = k * 2^-53 with k = h >> 11 < 2^53, and scaling by a power
-    of two is exact, so u < cdf[t, 0] iff k < cdf[t, 0] * 2^53; for an
-    integer k that is k < ceil(cdf[t, 0] * 2^53), a limit <= 2^53.
+    Mode t reads 0, given that every earlier mode did, with probability
+    q_t = R[t+1]/R[t] (zero_prefix_weights). A draw is u = k * 2^-53 with
+    k = h >> 11 < 2^53, and scaling by a power of two is exact, so u < q_t
+    iff k < q_t * 2^53; for an integer k that is k < ceil(q_t * 2^53), a
+    limit <= 2^53.
     """
-    return np.ceil(cdfs[:, 0] * 2.0**53).astype(np.uint64)
+    remaining = zero_prefix_weights(state)
+    if remaining[-1] == 0.0:
+        raise ToleranceError("all-zero measurement prefix has zero probability")
+    return np.ceil(remaining[1:] / remaining[:-1] * 2.0**53).astype(np.uint64)
 
 
 def _tally(seed: int, trials: int, limits: np.ndarray) -> tuple[int, np.ndarray]:
@@ -154,7 +146,7 @@ def run_trials(spec: WPrimeSpec, config: TrialConfig) -> TrialStats:
         state = evolved_physical_state(spec, config.params)[0]
     else:
         state = evolved_joint_state(spec)[0]
-    limits = _zero_limits(_zero_prefix_cdfs(state))
+    limits = _zero_limits(state)
     successes, fired = _tally(config.seed, config.trials, limits)
 
     histogram = {"0" * t + "1": int(count) for t, count in enumerate(fired) if count}

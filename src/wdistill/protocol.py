@@ -14,14 +14,15 @@ Every step conserves excitation number, so the joint state never leaves the
 N of the measurement patterns can occur. Inside that sector a step is a 2x2
 rotation of (party k excited, its ancilla excited) times a phase on every
 other ket, so the runtime describes each step by two closed-form block
-entries and applies all of them at once: a run costs O(N).
+entries and applies all of them at once: a run costs O(N). A run is a few
+length-N arrays end to end: the spec's coefficients, each mode's firing
+probability and each particle's residual phase.
 """
 from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
@@ -39,46 +40,52 @@ FIDELITY_TOL = 1e-12
 MIN_MAGNITUDE_FLOOR = math.sqrt(math.ulp(0.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WPrimeSpec:
-    """Complex coefficients c_1..c_N of a single-excitation pure state."""
+    """Complex coefficients c_1..c_N of a single-excitation pure state.
 
-    n: int
-    coeffs: tuple[complex, ...]
+    coeffs is a read-only 1-D complex128 copy of the input, entry m the
+    amplitude of "party m excited".
+    """
+
+    coeffs: np.ndarray
     # the party that keeps its amplitude, see min_coefficient_index
-    min_index: int = field(init=False, repr=False, compare=False)
+    min_index: int = field(init=False, repr=False)
     # min |c_i|, the magnitude every party rescales to
-    min_magnitude: float = field(init=False, repr=False, compare=False)
+    min_magnitude: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.n < 2:
-            raise SpecError(f"need at least 2 parties, got n={self.n}")
-        coeffs = tuple(complex(c) for c in self.coeffs)
-        if len(coeffs) != self.n:
-            raise SpecError(f"expected {self.n} coefficients, got {len(coeffs)}")
-        if not all(math.isfinite(c.real) and math.isfinite(c.imag) for c in coeffs):
+        coeffs = np.array(self.coeffs, dtype=np.complex128)
+        if coeffs.ndim != 1:
+            raise SpecError(f"coefficients must form a 1-D array, got shape {coeffs.shape}")
+        if len(coeffs) < 2:
+            raise SpecError(f"need at least 2 parties, got n={len(coeffs)}")
+        if not np.isfinite(coeffs).all():
             raise SpecError("coefficients must be finite")
-        total = sum(abs(c) ** 2 for c in coeffs)
+        # hypot rounds like abs() of a Python complex; np.abs need not
+        mags = np.hypot(coeffs.real, coeffs.imag)
+        total = float(np.sum(mags**2))
         if abs(total - 1.0) > 1e-9:
             raise SpecError(f"sum |c_i|^2 = {total!r}, expected 1 within 1e-9")
-        if 0 in coeffs:
+        zeros = np.flatnonzero(coeffs == 0)
+        if len(zeros):
             raise DegenerateCoefficientError(
-                f"coefficient {coeffs.index(0)} is zero; the distillation probability would vanish"
+                f"coefficient {zeros[0]} is zero; the distillation probability would vanish"
             )
-        min_magnitude = min(abs(c) for c in coeffs)
-        if self.n * min_magnitude**2 == 0.0:
+        min_magnitude = float(mags.min())
+        if len(coeffs) * min_magnitude**2 == 0.0:
             raise SpecError(
                 f"min|c_i| = {min_magnitude!r} is below the supported floor "
                 f"{MIN_MAGNITUDE_FLOOR:.2g}: N * min|c_i|^2 underflows to 0"
             )
+        coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "min_index", min_coefficient_index(coeffs))
         object.__setattr__(self, "min_magnitude", min_magnitude)
 
-    @classmethod
-    def from_coefficients(cls, coeffs) -> "WPrimeSpec":
-        coeffs = tuple(complex(c) for c in coeffs)
-        return cls(len(coeffs), coeffs)
+    @property
+    def n(self) -> int:
+        return len(self.coeffs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,14 +95,12 @@ class SectorState:
 
     amps[m] for m < n is the amplitude of "particle m excited, every mode
     empty"; amps[n + t] that of "every particle ground, mode t holds one
-    quantum", modes in measurement order. mode_dim is each mode's local
-    dimension (2 for an ancilla qubit, fock_cutoff + 1 for a cavity), i.e.
-    how many outcomes its detection has.
+    quantum", modes in measurement order. Whatever a mode's local dimension
+    (a cavity's Fock cutoff), the sector gives its detection two outcomes.
     """
 
     n: int
     amps: np.ndarray
-    mode_dim: int
 
     @property
     def particles(self) -> np.ndarray:
@@ -107,32 +112,12 @@ class SectorState:
 
 
 @dataclass(frozen=True)
-class BranchRecord:
-    """A reachable outcome of the mode measurements and its probability.
-
-    fired is the mode that read 1, or None on the success branch, where
-    every mode read 0; no other pattern can occur. Keeping the index rather
-    than the n_modes digits keeps a run's records O(N) in size.
-    """
-
-    fired: int | None
-    n_modes: int
-    probability: float
-    description: str
-
-    @property
-    def digits(self) -> str:
-        """The outcome pattern as a digit string, mode 0 first."""
-        if self.fired is None:
-            return "0" * self.n_modes
-        return "0" * self.fired + "1" + "0" * (self.n_modes - self.fired - 1)
-
-
-@dataclass(frozen=True)
 class DistillationReport:
     success_probability_exact: float
     success_probability_analytic: float
-    branch_records: tuple[BranchRecord, ...]
+    # entry t: probability that mode t reads 1, i.e. of the failure branch
+    # in which mode t alone fired; success is every mode reading 0
+    fire_probabilities: np.ndarray
     # corrected particle amplitudes, entry m: particle m excited
     final_state: np.ndarray
     fidelity_with_w: float
@@ -150,14 +135,11 @@ def make_w_state(n: int) -> np.ndarray:
     return np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
 
 
-def min_coefficient_index(coeffs, tol: float = MAG_TIE_TOL) -> int:
-    """Index of the smallest-magnitude coefficient; ties go to the smallest index."""
-    mags = [abs(c) for c in coeffs]
-    floor = min(mags)
-    for i, m in enumerate(mags):
-        if m <= floor + tol:
-            return i
-    raise AssertionError("unreachable")
+def min_coefficient_index(coeffs: np.ndarray) -> int:
+    """Index of the smallest-magnitude coefficient; magnitudes within
+    MAG_TIE_TOL of the minimum tie, and ties go to the smallest index."""
+    mags = np.hypot(coeffs.real, coeffs.imag)
+    return int(np.argmax(mags <= mags.min() + MAG_TIE_TOL))
 
 
 def acting_parties(spec: WPrimeSpec) -> np.ndarray:
@@ -175,7 +157,7 @@ def ancilla_steps(spec: WPrimeSpec) -> tuple[np.ndarray, np.ndarray]:
     keep = z_k of its amplitude, which rescales (and de-phases) it to
     min|c_i|, and hands fire = s_k to its ancilla.
     """
-    keep = spec.min_magnitude / np.asarray(spec.coeffs)[acting_parties(spec)]
+    keep = spec.min_magnitude / spec.coeffs[acting_parties(spec)]
     return keep, np.sqrt(np.maximum(0.0, 1.0 - np.abs(keep) ** 2))
 
 
@@ -184,7 +166,7 @@ def analytic_success_probability(spec: WPrimeSpec) -> float:
     return spec.n * spec.min_magnitude**2
 
 
-def evolve_sector(coeffs, users, keep, fire, spectator: complex, mode_dim: int) -> SectorState:
+def evolve_sector(coeffs, users, keep, fire, spectator: complex) -> SectorState:
     """Apply every step to sum_m coeffs[m] |particle m excited> at once.
 
     Step t couples particle users[t] (distinct parties) to mode t, which
@@ -201,7 +183,7 @@ def evolve_sector(coeffs, users, keep, fire, spectator: complex, mode_dim: int) 
     if spectator != 1.0:
         amps *= spectator
     amps.setflags(write=False)
-    return SectorState(len(particles), amps, mode_dim)
+    return SectorState(len(particles), amps)
 
 
 def evolved_joint_state(spec: WPrimeSpec) -> tuple[SectorState, np.ndarray]:
@@ -212,7 +194,7 @@ def evolved_joint_state(spec: WPrimeSpec) -> tuple[SectorState, np.ndarray]:
     """
     users = acting_parties(spec)
     keep, fire = ancilla_steps(spec)
-    return evolve_sector(spec.coeffs, users, keep, fire, 1.0, mode_dim=2), users
+    return evolve_sector(spec.coeffs, users, keep, fire, 1.0), users
 
 
 def zero_prefix_weights(state: SectorState) -> np.ndarray:
@@ -226,11 +208,8 @@ def zero_prefix_weights(state: SectorState) -> np.ndarray:
     return np.cumsum(tail)[::-1]
 
 
-def measure_all_branches(
-    state: SectorState,
-) -> tuple[list[BranchRecord], float, np.ndarray | None]:
-    """Every outcome pattern of the mode measurements with nonzero
-    probability, in lexicographic pattern order.
+def measure_all_branches(state: SectorState) -> tuple[np.ndarray, float, np.ndarray | None]:
+    """Outcome probabilities of the mode measurements.
 
     Inside the sector either every mode reads 0 (the success branch) or
     exactly one mode t reads 1, which leaves every particle ground. The
@@ -239,52 +218,35 @@ def measure_all_branches(
     R[t]/R[0] and P(mode t reads 1 | that) = |a_t|^2/R[t], so mode t fires
     with probability |a_t|^2/R[0] and success has R[-1]/R[0].
 
-    Returns (records, success probability, normalized particle amplitudes
-    of the success branch, or None when it has probability zero).
+    Returns (fire, success probability, normalized particle amplitudes of
+    the success branch, or None when it has probability zero); fire[t] is
+    the probability that mode t reads 1.
     """
     remaining = zero_prefix_weights(state)
     fire = np.abs(state.modes) ** 2 / remaining[0]
     success_prob = float(remaining[-1] / remaining[0])
-    n_modes = len(fire)
-    records: list[BranchRecord] = []
     success_particles = None
     if success_prob > 0.0:
-        records.append(
-            BranchRecord(None, n_modes, success_prob, "success: particles carry the distilled state")
-        )
         # rescale before normalizing: the squared amplitudes may be subnormal
         scaled = state.particles / np.abs(state.particles).max()
         success_particles = scaled / math.sqrt(float(np.sum(np.abs(scaled) ** 2)))
-    failure = f"failure: particles collapsed to |{'0' * state.n}>"
-    # a later firing mode spells a lexicographically smaller pattern
-    for t in np.flatnonzero(fire)[::-1]:
-        records.append(BranchRecord(int(t), n_modes, float(fire[t]), failure))
-    return records, success_prob, success_particles
+    return fire, success_prob, success_particles
 
 
-def phase_correction(
-    amps,
-    j: int,
-    c_j: complex,
-    reference_phases: Mapping[int, float] | None = None,
-) -> np.ndarray:
+def phase_correction(amps, phases) -> np.ndarray:
     """Undo the residual single-site phases of post-selected particle
     amplitudes (entry m: particle m excited).
 
-    Multiplies entry j by e^{-i arg(c_j)} and every entry recorded in the
-    ledger by e^{-i phi}, then strips the global phase so the amplitude of
-    |10...0> is real positive. Phases come from the explicit ledger rather
-    than from arg() of the amplitudes, which would be ill-conditioned near
-    zero.
+    Multiplies entry m by e^{-i phases[m]}, then strips the global phase so
+    the amplitude of |10...0> is real positive. Phases come from an explicit
+    ledger rather than from arg() of the amplitudes, which would be
+    ill-conditioned near zero.
     """
     amps = np.array(amps, dtype=np.complex128)
-    if not 0 <= j < len(amps):
-        raise ValidationError(f"site {j} out of range")
-    corrections = dict(reference_phases or {})
-    corrections[j] = corrections.get(j, 0.0) + cmath.phase(complex(c_j))
-    for site, phi in corrections.items():
-        if phi != 0.0:
-            amps[site] *= cmath.exp(-1j * phi)
+    phases = np.asarray(phases, dtype=np.float64)
+    if phases.shape != amps.shape:
+        raise ValidationError(f"{phases.shape} phases for {amps.shape} amplitudes")
+    amps *= np.exp(-1j * phases)
     head = amps[0]
     if abs(head) == 0.0:
         raise ValidationError("amplitude of |10...0> vanishes; global phase undefined")
@@ -298,21 +260,18 @@ def fidelity(x: np.ndarray, y: np.ndarray) -> float:
     return abs(complex(np.sum(np.conj(x) * y))) ** 2
 
 
-def distill(
-    spec: WPrimeSpec,
-    state: SectorState,
-    reference_phases: Mapping[int, float] | None = None,
-) -> DistillationReport:
+def distill(spec: WPrimeSpec, state: SectorState, phases: np.ndarray) -> DistillationReport:
     """Post-select an evolved state on every mode reading 0, then
-    phase-correct it with the given ledger; shared by both realizations.
+    phase-correct it by the ledger phases (entry m: particle m's residual
+    phase); shared by both realizations.
 
     Cross-checks the branch sum, the success probability against the closed
     form and the output against the uniform W state; raises ToleranceError
     on any breach.
     """
-    records, success_prob, success_particles = measure_all_branches(state)
+    fire, success_prob, success_particles = measure_all_branches(state)
 
-    total = sum(r.probability for r in records)
+    total = success_prob + float(np.sum(fire))
     if abs(total - 1.0) > PROB_MATCH_TOL:
         raise ToleranceError(f"branch probabilities sum to {total!r}, not 1")
     analytic = analytic_success_probability(spec)
@@ -323,21 +282,27 @@ def distill(
     if success_particles is None:
         raise ToleranceError("success branch has zero probability for a valid specification")
 
-    j = spec.min_index
-    final_state = phase_correction(success_particles, j, spec.coeffs[j], reference_phases)
+    final_state = phase_correction(success_particles, phases)
     fid = fidelity(final_state, make_w_state(spec.n))
     if abs(fid - 1.0) > FIDELITY_TOL:
         raise ToleranceError(f"corrected output fidelity {fid!r} is not 1 within {FIDELITY_TOL}")
     return DistillationReport(
         success_probability_exact=success_prob,
         success_probability_analytic=analytic,
-        branch_records=tuple(records),
+        fire_probabilities=fire,
         final_state=final_state,
         fidelity_with_w=fid,
-        min_index=j,
+        min_index=spec.min_index,
     )
 
 
 def run_exact(spec: WPrimeSpec) -> DistillationReport:
-    """Run the full post-selected protocol exactly over every reachable branch."""
-    return distill(spec, evolved_joint_state(spec)[0])
+    """Run the full post-selected protocol exactly over every reachable branch.
+
+    The ancilla steps leave each acting party at min|c_i| with no phase, so
+    only the minimal party j keeps a residual phase, arg(c_j).
+    """
+    phases = np.zeros(spec.n)
+    j = spec.min_index
+    phases[j] = cmath.phase(spec.coeffs[j])
+    return distill(spec, evolved_joint_state(spec)[0], phases)

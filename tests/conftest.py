@@ -12,7 +12,7 @@ WORKED_COEFFS = (math.sqrt(0.5), math.sqrt(0.3), math.sqrt(0.2))
 
 @pytest.fixture
 def worked_spec() -> WPrimeSpec:
-    return WPrimeSpec.from_coefficients(WORKED_COEFFS)
+    return WPrimeSpec(WORKED_COEFFS)
 
 
 def random_spec(rng: np.random.Generator, n: int, complex_phases: bool = True) -> WPrimeSpec:
@@ -20,4 +20,4 @@ def random_spec(rng: np.random.Generator, n: int, complex_phases: bool = True) -
     weights = rng.uniform(0.2, 1.0, n)
     probs = weights / weights.sum()
     phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n)) if complex_phases else np.ones(n)
-    return WPrimeSpec.from_coefficients(np.sqrt(probs) * phases)
+    return WPrimeSpec(np.sqrt(probs) * phases)

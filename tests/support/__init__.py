@@ -10,12 +10,14 @@ whose eigendecomposition checks the closed-form propagator; `sampler` is
 the matrix-form Monte Carlo sampler the streaming one is checked against.
 Nothing here is imported by the package.
 """
+from wdistill.cli import _branch_rows
 
 
 class ShapeError(ValueError):
     """Array/matrix dimensions are inconsistent with the operation."""
 
 
-def pattern(record) -> tuple[int, ...]:
-    """A sector BranchRecord's outcome pattern as the dense records spell it."""
-    return tuple(map(int, record.digits))
+def branch_rows(report) -> dict[tuple[int, ...], dict]:
+    """A sector report's branch rows as the CLI writes them, in order,
+    keyed by their outcome pattern spelled as the dense records spell it."""
+    return {tuple(map(int, row["pattern"])): row for row in _branch_rows(report)}

@@ -21,7 +21,6 @@ from wdistill.errors import ToleranceError, UnsupportedModeError, ValidationErro
 from wdistill.protocol import (
     FIDELITY_TOL,
     PROB_MATCH_TOL,
-    DistillationReport,
     WPrimeSpec,
     analytic_success_probability,
 )
@@ -46,6 +45,20 @@ class BranchRecord:
     pattern: tuple[int, ...]
     probability: float
     description: str
+
+
+@dataclass(frozen=True)
+class DenseReport:
+    """A dense run: every outcome pattern's record, zero-probability ones
+    included, and the corrected state over the particle qubits."""
+
+    success_probability_exact: float
+    success_probability_analytic: float
+    branch_records: tuple[BranchRecord, ...]
+    final_state: StateVector
+    fidelity_with_w: float
+    min_index: int
+    cavity_steps: np.ndarray | None = None
 
 
 def make_w_state(n: int) -> StateVector:
@@ -214,7 +227,7 @@ def distill(
     state: StateVector,
     measured_sites: tuple[int, ...],
     reference_phases: Mapping[int, float] | None = None,
-) -> DistillationReport:
+) -> DenseReport:
     """Post-select an evolved state on every measured site reading 0, then
     phase-correct it with the given ledger, with the package's cross-checks."""
     records, success_prob, success_particles = measure_all_branches(state, measured_sites, spec.n)
@@ -235,7 +248,7 @@ def distill(
     fid = fidelity(final_state, make_w_state(spec.n))
     if abs(fid - 1.0) > FIDELITY_TOL:
         raise ToleranceError(f"corrected output fidelity {fid!r} is not 1 within {FIDELITY_TOL}")
-    return DistillationReport(
+    return DenseReport(
         success_probability_exact=success_prob,
         success_probability_analytic=analytic,
         branch_records=tuple(records),
@@ -245,13 +258,13 @@ def distill(
     )
 
 
-def run_exact(spec: WPrimeSpec) -> DistillationReport:
+def run_exact(spec: WPrimeSpec) -> DenseReport:
     """Run the full post-selected protocol exactly, enumerating every branch."""
     state, anc_sites = evolved_joint_state(spec)
     return distill(spec, state, anc_sites)
 
 
-def run_physical(spec: WPrimeSpec, params: JCParams) -> DistillationReport:
+def run_physical(spec: WPrimeSpec, params: JCParams) -> DenseReport:
     """Run the cavity scheme exactly: evolve, photodetect, Ramsey-repair."""
     state, cavity_sites, plans = evolved_physical_state(spec, params)
     ledger = {

@@ -13,8 +13,15 @@ import math
 import numpy as np
 
 from wdistill.cavity import evolved_physical_state
-from wdistill.montecarlo import TrialConfig, TrialStats, _zero_prefix_cdfs
-from wdistill.protocol import WPrimeSpec, analytic_success_probability, evolved_joint_state
+from wdistill.errors import ToleranceError
+from wdistill.montecarlo import TrialConfig, TrialStats
+from wdistill.protocol import (
+    SectorState,
+    WPrimeSpec,
+    analytic_success_probability,
+    evolved_joint_state,
+    zero_prefix_weights,
+)
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
@@ -24,6 +31,31 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return x ^ (x >> np.uint64(31))
+
+
+def _zero_prefix_cdfs(state: SectorState, mode_dim: int) -> np.ndarray:
+    """Cumulative conditional outcome distributions of each measured mode,
+    given that every earlier mode read 0 (row t: mode t over its mode_dim
+    outcomes, 2 for an ancilla qubit, fock_cutoff + 1 for a cavity). Inside
+    the single-excitation sector only outcomes 0 and 1 occur: mode t reads 1
+    with probability |a_t|^2 / R[t], R being the running remaining weight of
+    zero_prefix_weights."""
+    remaining = zero_prefix_weights(state)
+    if remaining[-1] == 0.0:
+        raise ToleranceError("all-zero measurement prefix has zero probability")
+    probs = np.zeros((len(remaining) - 1, mode_dim))
+    probs[:, 0] = remaining[1:] / remaining[:-1]
+    probs[:, 1] = np.abs(state.modes) ** 2 / remaining[:-1]
+    return np.cumsum(probs, axis=1)
+
+
+def zero_prefix_cdfs(spec: WPrimeSpec, params=None) -> np.ndarray:
+    """_zero_prefix_cdfs of the evolved state of either scheme: the
+    abstract one when params is None, else the cavity one with
+    params.fock_cutoff + 1 outcomes per mode."""
+    if params is None:
+        return _zero_prefix_cdfs(evolved_joint_state(spec)[0], 2)
+    return _zero_prefix_cdfs(evolved_physical_state(spec, params)[0], params.fock_cutoff + 1)
 
 
 def trial_uniforms(seed: int, trials: int, draws: int) -> np.ndarray:
@@ -42,11 +74,7 @@ def trial_uniforms(seed: int, trials: int, draws: int) -> np.ndarray:
 
 def run_trials(spec: WPrimeSpec, config: TrialConfig) -> TrialStats:
     """Sample config.trials runs of the protocol and tally the outcomes."""
-    if config.scheme == "cavity":
-        state = evolved_physical_state(spec, config.params)[0]
-    else:
-        state = evolved_joint_state(spec)[0]
-    cdfs = _zero_prefix_cdfs(state)
+    cdfs = zero_prefix_cdfs(spec, config.params if config.scheme == "cavity" else None)
     n_steps = len(cdfs)
 
     u = trial_uniforms(config.seed, config.trials, n_steps)

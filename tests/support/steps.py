@@ -45,7 +45,7 @@ def build_step_unitary(spec: WPrimeSpec, k: int) -> StepPlan:
         raise ValidationError(f"party index {k} out of range")
     if k == spec.min_index:
         raise ValidationError(f"party {k} holds the minimal coefficient and must not rotate")
-    z = spec.min_magnitude / spec.coeffs[k]
+    z = spec.min_magnitude / complex(spec.coeffs[k])
     s = math.sqrt(max(0.0, 1.0 - abs(z) ** 2))
     u = np.array(
         [
@@ -131,7 +131,7 @@ def optimal_interaction_time(
         raise ValidationError(f"party index {k} out of range")
     if k == spec.min_index:
         raise ValidationError(f"party {k} holds the minimal coefficient and must not interact")
-    ratio = spec.min_magnitude / abs(spec.coeffs[k])
+    ratio = spec.min_magnitude / abs(complex(spec.coeffs[k]))
     delta_t = math.acos(min(1.0, ratio)) / epsilon
     phases = None
     if omega is not None:

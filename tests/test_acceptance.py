@@ -51,7 +51,7 @@ def test_criterion_1_three_party_law():
     failures = []
     start = time.perf_counter()
     for x, y, z in _simplex_grid():
-        spec = WPrimeSpec.from_coefficients([math.sqrt(x), math.sqrt(y), math.sqrt(z)])
+        spec = WPrimeSpec([math.sqrt(x), math.sqrt(y), math.sqrt(z)])
         p = run_exact(spec).success_probability_exact
         if abs(p - 3.0 * z) > 1e-10:
             failures.append(f"grid point z={z}: P={p!r} vs 3z={3 * z!r}")
@@ -77,7 +77,7 @@ def test_criterion_2_n_party_law():
 def test_criterion_3_perfect_output():
     failures = []
     for x, y, z in _simplex_grid():
-        spec = WPrimeSpec.from_coefficients([math.sqrt(x), math.sqrt(y), math.sqrt(z)])
+        spec = WPrimeSpec([math.sqrt(x), math.sqrt(y), math.sqrt(z)])
         fid = run_exact(spec).fidelity_with_w
         if abs(fid - 1.0) > 1e-12:
             failures.append(f"grid z={z}: fidelity {fid!r}")
@@ -144,7 +144,7 @@ def test_criterion_6_timing_law():
             resid = abs(abs(spec.coeffs[k]) * math.cos(eps * dt) - min_mag)
             if resid > 1e-12:
                 failures.append(f"timing identity residual {resid!r}")
-    worked = WPrimeSpec.from_coefficients(WORKED_COEFFS)
+    worked = WPrimeSpec(WORKED_COEFFS)
     dt = jc_steps(worked, JCParams(omega=1.0, omega0=1.0, epsilon=1.0))[0][0]
     if abs(dt - 0.8860771) > 1e-7:
         failures.append(f"worked interaction time {dt!r} vs 0.8860771")
@@ -155,7 +155,7 @@ def test_criterion_7_monte_carlo_concordance():
     failures = []
     start = time.perf_counter()
     trials = 100_000
-    spec = WPrimeSpec.from_coefficients(WORKED_COEFFS)
+    spec = WPrimeSpec(WORKED_COEFFS)
     stats = run_trials(spec, TrialConfig(trials=trials, seed=42))
     if abs(stats.empirical_p - 0.6) > 4 * math.sqrt(0.6 * 0.4 / trials):
         failures.append(f"empirical {stats.empirical_p!r} outside the 4-sigma band around 0.6")

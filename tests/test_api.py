@@ -1,4 +1,6 @@
+import dataclasses
 import importlib
+import inspect
 
 import pytest
 
@@ -9,7 +11,8 @@ MODULES = (wdistill, cavity, cli, errors, montecarlo, protocol)
 # trial_uniforms (the matrix-form sampler's uniforms) lives on in
 # tests/support/sampler.py; the per-party step matrices and their plans
 # (StepPlan ... physical_plan) and ShapeError in tests/support/steps.py
-# and tests/support/__init__.py
+# and tests/support/__init__.py; _zero_prefix_cdfs (the sampler's CDF
+# matrix) in tests/support/sampler.py
 REMOVED = (
     "AtomicWPrimeSpec",
     "ramsey_phase",
@@ -26,6 +29,9 @@ REMOVED = (
     "optimal_interaction_time",
     "physical_plan",
     "ShapeError",
+    "BranchRecord",
+    "_zero_prefix_cdfs",
+    "from_coefficients",
 )
 # dense state-vector names: the package runs in the single-excitation sector,
 # and these live on only as the test oracle in tests/support
@@ -50,13 +56,20 @@ def test_every_exported_name_resolves():
 @pytest.mark.parametrize("name", REMOVED)
 def test_removed_name_is_gone(name):
     assert name not in wdistill.__all__
-    for module in MODULES:
-        assert not hasattr(module, name), f"{module.__name__}.{name}"
+    for owner in (*MODULES, protocol.WPrimeSpec):
+        assert not hasattr(owner, name), f"{owner.__name__}.{name}"
 
 
 def test_branch_records_spell_no_pattern_tuple():
-    # tests read .digits, or support.pattern for the dense oracle's tuples
-    assert not hasattr(protocol.BranchRecord, "pattern")
+    # a report holds one firing probability per mode; the CLI spells the rows
+    fields = {f.name for f in dataclasses.fields(protocol.DistillationReport)}
+    assert "fire_probabilities" in fields and "branch_records" not in fields
+
+
+def test_sector_state_has_no_mode_dimension():
+    # the sector gives every mode's detection two outcomes, whatever the cutoff
+    assert [f.name for f in dataclasses.fields(protocol.SectorState)] == ["n", "amps"]
+    assert "mode_dim" not in inspect.signature(protocol.evolve_sector).parameters
 
 
 @pytest.mark.parametrize("name", DENSE)

@@ -6,14 +6,23 @@ complex N=5 spec, and an N=4 spec whose two smallest magnitudes differ by
 them. Any engine change must reproduce these bytes; a file is regenerated
 only when a change deliberately moves its bytes, and the change log says
 which.
+
+Report bytes also depend on which SIMD kernels numpy dispatches to (e.g.
+np.angle and np.arcsin of an array round some inputs differently with and
+without AVX-512), so the goldens are also rerun with numpy's AVX-512 kernels
+switched off.
 """
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from wdistill.cli import main
 
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN = os.path.join(HERE, "golden")
 
 SPEC_COMMANDS = {
     "distill": ["distill"],
@@ -38,3 +47,58 @@ def test_stdout_matches_golden(capsys, name):
         expected = fh.read()
     assert main(CASES[name]) == 0
     assert capsys.readouterr().out == expected
+
+
+# runs every case in one interpreter: argv of cases as JSON in, then the
+# dispatched-feature flags and each case's (exit code, stdout) as JSON out
+_RERUN = """
+import contextlib, io, json, sys
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_features__
+from wdistill.cli import main
+features = {f: bool(__cpu_features__[f]) for f in sys.argv[2:]}
+outputs = {}
+for name, argv in json.loads(sys.argv[1]).items():
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    outputs[name] = [code, buf.getvalue()]
+json.dump({"features": features, "outputs": outputs}, sys.stdout)
+"""
+
+
+def _avx512_features() -> list[str]:
+    """The AVX-512-level targets numpy dispatches to on this CPU."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return [
+        f
+        for f in umath.__cpu_dispatch__
+        if (f == "X86_V4" or f.startswith("AVX512")) and umath.__cpu_features__.get(f)
+    ]
+
+
+def test_goldens_hold_without_avx512_dispatch():
+    features = _avx512_features()
+    if not features:
+        pytest.skip("numpy dispatches no AVX-512 kernels on this CPU")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(features))
+    src = os.path.join(os.path.dirname(HERE), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RERUN, json.dumps(CASES), *features],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rerun = json.loads(proc.stdout)
+    assert rerun["features"] == {f: False for f in features}
+    for name in sorted(CASES):
+        with open(os.path.join(GOLDEN, f"{name}.out"), encoding="utf-8", newline="") as fh:
+            assert rerun["outputs"][name] == [0, fh.read()], name

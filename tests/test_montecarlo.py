@@ -11,13 +11,12 @@ from support.sampler import trial_uniforms
 from support.statevec import project_site, site_distribution
 from wdistill import montecarlo
 from wdistill.cavity import JCParams, evolved_physical_state
-from wdistill.cli import load_spec
+from wdistill.cli import _branch_rows, load_spec
 from wdistill.errors import ValidationError
 from wdistill.montecarlo import (
     TrialConfig,
     TrialStats,
     _zero_limits,
-    _zero_prefix_cdfs,
     confidence_interval,
     run_trials,
 )
@@ -91,7 +90,7 @@ class TestTrialUniforms:
 
 class TestRunTrials:
     def test_uniform_spec_always_succeeds(self):
-        spec = WPrimeSpec.from_coefficients([0.5] * 4)
+        spec = WPrimeSpec([0.5] * 4)
         stats = run_trials(spec, TrialConfig(trials=2000, seed=3))
         assert stats.successes == 2000
         assert stats.empirical_p == 1.0
@@ -116,10 +115,7 @@ class TestRunTrials:
     def test_histogram_matches_exact_branches(self, worked_spec):
         trials = 100_000
         stats = run_trials(worked_spec, TrialConfig(trials=trials, seed=5))
-        exact = {
-            r.digits: r.probability
-            for r in run_exact(worked_spec).branch_records
-        }
+        exact = {row["pattern"]: row["probability"] for row in _branch_rows(run_exact(worked_spec))}
         # truncated patterns aggregate the full patterns extending them;
         # zero-probability patterns are not listed
         expected = {
@@ -186,11 +182,11 @@ def _streaming_specs():
     rng = np.random.default_rng(77)
     specs = {f"random{n}": random_spec(rng, n) for n in range(2, 10)}
     specs["near_tie"] = load_spec(NEAR_TIE)[0]
-    specs["uniform"] = WPrimeSpec.from_coefficients([0.5] * 4)  # p = 1: no trial fails
+    specs["uniform"] = WPrimeSpec([0.5] * 4)  # p = 1: no trial fails
     # p ~ 0.007: conditional zero-probabilities below 1/2, whose thresholds
     # cdf[t, 0] * 2^53 are not integers
     skewed = np.array([1.0, 0.3j, 0.05, -0.6])
-    specs["skewed"] = WPrimeSpec.from_coefficients(skewed / np.linalg.norm(skewed))
+    specs["skewed"] = WPrimeSpec(skewed / np.linalg.norm(skewed))
     return specs
 
 
@@ -210,10 +206,15 @@ def _config(trials: int, seed: int, fock: int | None) -> TrialConfig:
     return TrialConfig(trials=trials, seed=seed, scheme="cavity", params=_params(fock))
 
 
-def _cdfs(spec: WPrimeSpec, fock: int | None) -> np.ndarray:
+def _state(spec: WPrimeSpec, fock: int | None):
     if fock is None:
-        return _zero_prefix_cdfs(evolved_joint_state(spec)[0])
-    return _zero_prefix_cdfs(evolved_physical_state(spec, _params(fock))[0])
+        return evolved_joint_state(spec)[0]
+    return evolved_physical_state(spec, _params(fock))[0]
+
+
+def _cdfs(spec: WPrimeSpec, fock: int | None) -> np.ndarray:
+    """The reference sampler's CDF matrix, fock + 1 outcomes per cavity."""
+    return sampler.zero_prefix_cdfs(spec, None if fock is None else _params(fock))
 
 
 class TestStreaming:
@@ -232,9 +233,16 @@ class TestStreaming:
 
     @pytest.mark.parametrize("fock", FOCK)
     @pytest.mark.parametrize("name", sorted(STREAMING_SPECS))
+    def test_limits_are_the_reference_cdfs_first_column(self, name, fock):
+        spec = STREAMING_SPECS[name]
+        expected = np.ceil(_cdfs(spec, fock)[:, 0] * 2.0**53).astype(np.uint64)
+        np.testing.assert_array_equal(_zero_limits(_state(spec, fock)), expected)
+
+    @pytest.mark.parametrize("fock", FOCK)
+    @pytest.mark.parametrize("name", sorted(STREAMING_SPECS))
     def test_integer_rule_matches_inverse_cdf_at_the_boundary(self, name, fock):
         cdfs = _cdfs(STREAMING_SPECS[name], fock)
-        limits = _zero_limits(cdfs)
+        limits = _zero_limits(_state(STREAMING_SPECS[name], fock))
         for cdf, limit in zip(cdfs, limits):
             thr = cdf[0] * 2.0**53
             for k in {math.floor(thr) - 1, math.floor(thr), math.ceil(thr), 2**53 - 1}:
@@ -263,7 +271,7 @@ class TestStreaming:
         for fock in (2, 3):
             for spec in STREAMING_SPECS.values():
                 cdfs = _cdfs(spec, fock)
-                for cdf, limit in zip(cdfs, _zero_limits(cdfs)):
+                for cdf, limit in zip(cdfs, _zero_limits(_state(spec, fock))):
                     if cdf[1] > u:
                         continue
                     rounded += 1

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from conftest import random_spec
-from support import dense, pattern
-from wdistill.cavity import JCParams, evolved_physical_state, run_physical
+from support import branch_rows, dense
+from support.sampler import zero_prefix_cdfs
+from wdistill.cavity import JCParams, run_physical
 from wdistill.cli import load_spec
-from wdistill.montecarlo import _zero_prefix_cdfs
-from wdistill.protocol import WPrimeSpec, evolved_joint_state, run_exact
+from wdistill.protocol import WPrimeSpec, run_exact
 
 AGREE_TOL = 1e-14
 CDF_TOL = 1e-15
@@ -31,10 +31,10 @@ def _specs():
     rng = np.random.default_rng(2024)
     specs = {f"random{n}_{i}": random_spec(rng, n) for n in range(2, 10) for i in range(2)}
     specs["near_tie"] = load_spec(NEAR_TIE)[0]
-    specs["uniform"] = WPrimeSpec.from_coefficients([0.5] * 4)
+    specs["uniform"] = WPrimeSpec([0.5] * 4)
     # three parties tie exactly at the minimum, with phases that keep |c| exact
     tie = math.sqrt(0.2)
-    specs["three_way_tie"] = WPrimeSpec.from_coefficients([math.sqrt(0.4) * 1j, tie, 1j * tie, -tie])
+    specs["three_way_tie"] = WPrimeSpec([math.sqrt(0.4) * 1j, tie, 1j * tie, -tie])
     return specs
 
 
@@ -65,12 +65,12 @@ def test_reports_match_dense(name, fock):
     assert abs(sector.fidelity_with_w - oracle.fidelity_with_w) <= AGREE_TOL
 
     reachable = {r.pattern: r.probability for r in oracle.branch_records if r.probability > 0.0}
-    rows = {pattern(r): r for r in sector.branch_records}
+    rows = branch_rows(sector)
     assert rows.keys() == reachable.keys()
-    for digits, record in rows.items():
-        assert abs(record.probability - reachable[digits]) <= AGREE_TOL
+    for digits, row in rows.items():
+        assert abs(row["probability"] - reachable[digits]) <= AGREE_TOL
     described = {r.pattern: r.description for r in oracle.branch_records}
-    assert all(r.description == described[p] for p, r in rows.items())
+    assert all(row["description"] == described[p] for p, row in rows.items())
     # same order as the dense walk's rows, zero rows left out
     assert list(rows) == [r.pattern for r in oracle.branch_records if r.pattern in rows]
 
@@ -82,12 +82,11 @@ def test_reports_match_dense(name, fock):
 def test_sampler_cdfs_match_dense(name, fock):
     spec = SPECS[name]
     if fock is None:
-        state, _ = evolved_joint_state(spec)
+        cdfs = zero_prefix_cdfs(spec)
         dense_state, sites = dense.evolved_joint_state(spec)
     else:
-        state, _ = evolved_physical_state(spec, _params(fock))
+        cdfs = zero_prefix_cdfs(spec, _params(fock))
         dense_state, sites, _ = dense.evolved_physical_state(spec, _params(fock))
-    cdfs = _zero_prefix_cdfs(state)
     expected = dense.zero_prefix_cdfs(dense_state, sites)
     assert cdfs.shape == (len(expected), len(expected[0]))
     assert np.max(np.abs(cdfs - np.array(expected))) <= CDF_TOL
@@ -97,6 +96,6 @@ def test_ties_drop_exactly_the_zero_rows():
     # the tied parties' ancillas never fire: only success and party 1's row
     for fock in (None, 1, 2):
         sector, _ = _runs(SPECS["three_way_tie"], fock)
-        assert [r.digits for r in sector.branch_records] == ["000", "100"]
+        assert list(branch_rows(sector)) == [(0, 0, 0), (1, 0, 0)]
     sector, _ = _runs(SPECS["uniform"], None)
-    assert [r.digits for r in sector.branch_records] == ["000"]
+    assert list(branch_rows(sector)) == [(0, 0, 0)]

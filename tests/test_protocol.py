@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_spec
-from support import dense, pattern
+from support import branch_rows, dense
 from support.linalg import is_unitary
 from support.statevec import StateVector, apply_local
 from support.steps import ANCILLA_PAIR, ANCILLA_VAC, build_step_unitary, leaked_entries, plan
@@ -43,15 +43,15 @@ def n3_step_matrix(numer: float, denom: complex) -> np.ndarray:
 class TestSpecValidation:
     def test_requires_two_parties(self):
         with pytest.raises(SpecError):
-            WPrimeSpec.from_coefficients([1.0])
+            WPrimeSpec([1.0])
 
     def test_requires_normalization(self):
         with pytest.raises(SpecError):
-            WPrimeSpec.from_coefficients([0.9, 0.9])
+            WPrimeSpec([0.9, 0.9])
 
     def test_requires_finite(self):
         with pytest.raises(SpecError):
-            WPrimeSpec.from_coefficients([math.nan, 1.0])
+            WPrimeSpec([math.nan, 1.0])
 
     def test_min_magnitude_is_the_per_party_minimum(self):
         rng = np.random.default_rng(3)
@@ -60,11 +60,26 @@ class TestSpecValidation:
             assert spec.min_magnitude == min(abs(c) for c in spec.coeffs)
             assert analytic_success_probability(spec) == spec.n * min(abs(c) ** 2 for c in spec.coeffs)
 
+    def test_coeffs_are_a_read_only_copy(self):
+        given = np.array([0.6, 0.8j])
+        spec = WPrimeSpec(given)
+        assert spec.coeffs.dtype == np.complex128 and spec.n == 2
+        with pytest.raises(ValueError):
+            spec.coeffs[0] = 1.0
+        given[0] = 0.0
+        assert spec.coeffs.tolist() == [0.6, 0.8j]
+
+    def test_rejects_input_that_is_not_1d(self):
+        with pytest.raises(SpecError, match=r"1-D .*\(2, 2\)"):
+            WPrimeSpec([[0.5, 0.5], [0.5, 0.5]])
+        with pytest.raises(SpecError, match=r"1-D"):
+            WPrimeSpec(1.0)
+
     def test_rejects_underflowing_minimum(self):
         with pytest.raises(SpecError, match=r"1e-170 .*floor 2\.2e-162"):
-            WPrimeSpec.from_coefficients([1.0, 1e-170])
+            WPrimeSpec([1.0, 1e-170])
         # |c|^2 = 1e-320 is subnormal but positive: still supported
-        assert analytic_success_probability(WPrimeSpec.from_coefficients([1.0, 1e-160])) > 0.0
+        assert analytic_success_probability(WPrimeSpec([1.0, 1e-160])) > 0.0
 
 
 class TestMakeWState:
@@ -97,21 +112,21 @@ class TestBuildStepUnitary:
         assert step.u_k[1, 1] == pytest.approx(step.z_k, abs=0)
 
     def test_equal_coefficients_give_identity(self):
-        spec = WPrimeSpec.from_coefficients([0.5, 0.5, 0.5, 0.5])
+        spec = WPrimeSpec([0.5, 0.5, 0.5, 0.5])
         for k in range(1, 4):
             np.testing.assert_allclose(build_step_unitary(spec, k).u_k, np.eye(4), atol=1e-15)
 
     def test_complex_coefficient(self):
         # |c_0| = 0.5 with phase pi/3, min magnitude 0.25 elsewhere
         c0 = 0.5 * cmath.exp(1j * math.pi / 3)
-        spec = WPrimeSpec.from_coefficients([c0, math.sqrt(0.6875), 0.25])
+        spec = WPrimeSpec([c0, math.sqrt(0.6875), 0.25])
         step = build_step_unitary(spec, 0)
         assert step.z_k == pytest.approx(0.5 * cmath.exp(-1j * math.pi / 3), abs=1e-15)
         assert is_unitary(step.u_k, 1e-12)
 
     def test_rejects_zero_coefficient(self):
         with pytest.raises(DegenerateCoefficientError):
-            spec = WPrimeSpec.from_coefficients([1.0, 0.0])
+            spec = WPrimeSpec([1.0, 0.0])
             build_step_unitary(spec, 1)
 
     def test_rejects_minimal_party(self, worked_spec):
@@ -127,7 +142,7 @@ class TestBuildStepUnitary:
             probs /= probs.sum()
             phases = np.exp(1j * rng.uniform(0, 2 * np.pi, 3))
             a, b, c = np.sqrt(probs) * phases
-            spec = WPrimeSpec.from_coefficients([a, b, c])
+            spec = WPrimeSpec([a, b, c])
             assert min_coefficient_index(spec.coeffs) == 2
             np.testing.assert_allclose(
                 build_step_unitary(spec, 0).u_k, n3_step_matrix(abs(c), a), atol=1e-12
@@ -143,7 +158,7 @@ class TestPlan:
         assert [s.k for s in plan(worked_spec)] == [0, 1]
 
     def test_uniform_tie_break(self):
-        spec = WPrimeSpec.from_coefficients([0.5] * 4)
+        spec = WPrimeSpec([0.5] * 4)
         steps = plan(spec)
         assert spec.min_index == 0
         assert len(steps) == 3
@@ -153,11 +168,11 @@ class TestPlan:
     def test_tie_break_ignores_phase(self):
         mag = 1 / math.sqrt(3)
         coeffs = [mag * cmath.exp(1j * 0.8), mag, mag * cmath.exp(-1j * 2.5)]
-        assert WPrimeSpec.from_coefficients(coeffs).min_index == 0
+        assert WPrimeSpec(coeffs).min_index == 0
 
     def test_rejects_zero_coefficient(self):
         with pytest.raises(DegenerateCoefficientError):
-            plan(WPrimeSpec.from_coefficients([1.0, 0.0]))
+            plan(WPrimeSpec([1.0, 0.0]))
 
 
 class TestAnalyticProbability:
@@ -166,11 +181,11 @@ class TestAnalyticProbability:
 
     def test_uniform_is_one(self):
         for n in (2, 3, 6):
-            spec = WPrimeSpec.from_coefficients([1 / math.sqrt(n)] * n)
+            spec = WPrimeSpec([1 / math.sqrt(n)] * n)
             assert analytic_success_probability(spec) == pytest.approx(1.0, abs=1e-12)
 
     def test_four_party_value(self):
-        spec = WPrimeSpec.from_coefficients(np.sqrt([0.4, 0.3, 0.2, 0.1]))
+        spec = WPrimeSpec(np.sqrt([0.4, 0.3, 0.2, 0.1]))
         assert analytic_success_probability(spec) == pytest.approx(0.4, abs=1e-12)
         assert run_exact(spec).success_probability_exact == pytest.approx(0.4, abs=1e-10)
 
@@ -183,7 +198,7 @@ class TestRunExact:
         assert report.min_index == 2
 
     def test_worked_branch_probabilities(self, worked_spec):
-        probs = {pattern(r): r.probability for r in run_exact(worked_spec).branch_records}
+        probs = {p: row["probability"] for p, row in branch_rows(run_exact(worked_spec)).items()}
         assert probs[(1, 0)] == pytest.approx(0.3, abs=1e-12)
         assert probs[(0, 1)] == pytest.approx(0.1, abs=1e-12)
         # the zero-probability pattern is not listed; the dense walk gives it 0
@@ -193,11 +208,11 @@ class TestRunExact:
         assert sum(probs.values()) == pytest.approx(1.0, abs=1e-10)
 
     def test_uniform_five_party(self):
-        report = run_exact(WPrimeSpec.from_coefficients([1 / math.sqrt(5)] * 5))
+        report = run_exact(WPrimeSpec([1 / math.sqrt(5)] * 5))
         assert report.success_probability_exact == pytest.approx(1.0, abs=1e-10)
 
     def test_two_party(self):
-        report = run_exact(WPrimeSpec.from_coefficients([0.8, 0.6]))
+        report = run_exact(WPrimeSpec([0.8, 0.6]))
         assert report.success_probability_exact == pytest.approx(0.72, abs=1e-10)
         assert report.fidelity_with_w == pytest.approx(1.0, abs=1e-12)
 
@@ -207,7 +222,7 @@ class TestRunExact:
             math.sqrt(0.3),
             math.sqrt(0.2) * cmath.exp(-1j * math.pi / 5),
         ]
-        report = run_exact(WPrimeSpec.from_coefficients(coeffs))
+        report = run_exact(WPrimeSpec(coeffs))
         assert report.success_probability_exact == pytest.approx(0.6, abs=1e-10)
         assert report.fidelity_with_w == pytest.approx(1.0, abs=1e-12)
         # corrected amplitudes are uniform, real, positive
@@ -227,9 +242,9 @@ class TestRunExact:
         rng = np.random.default_rng(99)
         for _ in range(10):
             spec = random_spec(rng, int(rng.integers(2, 7)))
-            for record in run_exact(spec).branch_records:
-                if record.probability > 0 and record.fired is not None:
-                    assert "collapsed" in record.description
+            for p, row in branch_rows(run_exact(spec)).items():
+                if row["probability"] > 0 and any(p):
+                    assert "collapsed" in row["description"]
 
     def test_probability_bounds_and_uniform_condition(self):
         rng = np.random.default_rng(31)
@@ -240,7 +255,7 @@ class TestRunExact:
             mags = [abs(c) for c in spec.coeffs]
             if abs(p - 1.0) <= 1e-12:
                 assert max(mags) - min(mags) <= 1e-9
-        uniform = WPrimeSpec.from_coefficients([1 / math.sqrt(4)] * 4)
+        uniform = WPrimeSpec([1 / math.sqrt(4)] * 4)
         assert run_exact(uniform).success_probability_exact == pytest.approx(1.0, abs=1e-12)
 
     def test_step_order_invariance(self):
@@ -357,7 +372,7 @@ class TestEvolveSector:
             u = np.array([m for _, m in steps])
             phases = u[:, 0, 0]
             keep, fire = u[:, 1, 1] / phases, u[:, 2, 1] / phases
-            state = evolve_sector(coeffs, users, keep, fire, np.prod(phases), mode_dim=2)
+            state = evolve_sector(coeffs, users, keep, fire, np.prod(phases))
             assert np.max(np.abs(state.amps - naive_sector_evolution(coeffs, steps))) <= 1e-14
 
     @pytest.mark.parametrize("entry", [(0, 1), (3, 1), (2, 0), (1, 3), (0, 3)])
@@ -380,38 +395,46 @@ class TestEvolveSector:
 
 class TestPhaseCorrection:
     def test_identity_on_real_positive(self):
-        out = phase_correction(make_w_state(3), 2, 1.0)
+        out = phase_correction(make_w_state(3), np.zeros(3))
         np.testing.assert_allclose(out, make_w_state(3), atol=1e-15)
 
     def test_strips_coefficient_phase(self):
         amps = np.array([1, 1, cmath.exp(1j * math.pi / 4)]) / math.sqrt(3)
-        out = phase_correction(amps, 2, cmath.exp(1j * math.pi / 4))
+        out = phase_correction(amps, [0.0, 0.0, math.pi / 4])
         np.testing.assert_allclose(out, make_w_state(3), atol=1e-12)
 
     def test_ledger_phases_cancel(self):
         amps = np.array([cmath.exp(1j * 0.3), cmath.exp(-1j * 1.1), 1]) / math.sqrt(3)
-        out = phase_correction(amps, 2, 1.0, {0: 0.3, 1: -1.1})
+        out = phase_correction(amps, [0.3, -1.1, 0.0])
         np.testing.assert_allclose(out, make_w_state(3), atol=1e-12)
 
     def test_matches_dense_correction(self):
+        # the dense version takes a dict ledger plus the minimal site's
+        # coefficient; the array ledger holds their sum per site
         rng = np.random.default_rng(5)
-        for _ in range(5):
-            n = int(rng.integers(2, 6))
+        for _ in range(20):
+            n = int(rng.integers(2, 7))
             amps = np.exp(1j * rng.uniform(0, 2 * np.pi, n)) / math.sqrt(n)
+            j = int(rng.integers(n))
             ledger = {int(k): float(rng.uniform(-3, 3)) for k in rng.choice(n, n - 1, replace=False)}
+            phases = np.zeros(n)
+            for k, phi in ledger.items():
+                phases[k] = phi
+            phases[j] += cmath.phase(amps[j])
             layout = dense.make_w_state(n).layout
             one_hot = [1 << (n - 1 - m) for m in range(n)]
             full = np.zeros(layout.size, dtype=complex)
             full[one_hot] = amps
-            expected = dense.phase_correction(StateVector(layout, full), 0, amps[0], ledger)
-            out = phase_correction(amps, 0, amps[0], ledger)
+            expected = dense.phase_correction(StateVector(layout, full), j, amps[j], ledger)
+            out = phase_correction(amps, phases)
             assert np.max(np.abs(expected.amps[one_hot] - out)) <= 1e-15
 
     def test_rejects_bad_site_and_vanishing_head(self):
+        # a ledger entry for a site the state does not have
         with pytest.raises(ValidationError):
-            phase_correction(make_w_state(3), 3, 1.0)
+            phase_correction(make_w_state(3), np.zeros(4))
         with pytest.raises(ValidationError):
-            phase_correction(np.array([0.0, 1.0]), 1, 1.0)
+            phase_correction(np.array([0.0, 1.0]), np.zeros(2))
 
     def test_rejects_support_outside_single_excitation(self):
         # only the dense representation can hold such a state

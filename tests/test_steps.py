@@ -43,7 +43,7 @@ def _specs():
     specs = {f"random{n}": random_spec(rng, n) for n in range(2, 10)}
     specs["near_tie"] = load_spec(NEAR_TIE)[0]
     tie = math.sqrt(0.2)
-    specs["three_way_tie"] = WPrimeSpec.from_coefficients([math.sqrt(0.4) * 1j, tie, 1j * tie, -tie])
+    specs["three_way_tie"] = WPrimeSpec([math.sqrt(0.4) * 1j, tie, 1j * tie, -tie])
     return specs
 
 
