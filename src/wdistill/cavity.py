@@ -75,21 +75,21 @@ def jc_steps(
     cos]](eps dt). Relative to the spectator phase, the excited atom keeps
     keep = e^{-i w dt} cos(eps dt) and hands fire = -i e^{-i w dt}
     sin(eps dt) to its cavity; spectator = e^{i w sum(dt)/2} is the product
-    of every pass's |g,0> phase. dt_k = arccos(min|c_i| / |c_k|) / eps
-    solves |c_k| cos(eps dt_k) = min|c_i|. Arrays are in acting_parties
-    order.
+    of every pass's |g,0> phase. dt_k = arccos(r_k) / eps with r_k =
+    min|c_i| / |c_k|, and keep takes r_k for cos(eps dt_k): cos(arccos r)
+    errs by an ulp of 1, not of r. Arrays are in acting_parties order.
     """
     if not params.is_resonant:
         raise UnsupportedModeError("physical protocol requires resonant parameters")
     c = spec.coeffs[acting_parties(spec)]
     # hypot rounds |c_k| as abs() rounded min|c_i|, which np.abs need not:
     # a party tied at the minimum gets ratio 1 and dt = 0 exactly
-    ratio = spec.min_magnitude / np.hypot(c.real, c.imag)
-    dt = np.arccos(np.minimum(1.0, ratio)) / params.epsilon
+    r = np.minimum(1.0, spec.min_magnitude / np.hypot(c.real, c.imag))
+    # libm acos: np.arccos's SIMD path rounds some inputs differently (see run_physical)
+    dt = np.fromiter(map(math.acos, r.tolist()), np.float64, len(r)) / params.epsilon
     turn = np.exp(-1j * params.omega * dt)
-    theta = params.epsilon * dt
     spectator = cmath.exp(0.5j * params.omega * math.fsum(dt))
-    return dt, turn * np.cos(theta), -1j * turn * np.sin(theta), spectator
+    return dt, turn * r, -1j * turn * np.sin(params.epsilon * dt), spectator
 
 
 def evolved_physical_state(spec: WPrimeSpec, params: JCParams) -> tuple[SectorState, np.ndarray]:

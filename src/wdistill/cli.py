@@ -12,6 +12,7 @@ import dataclasses
 import json
 import math
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -93,9 +94,9 @@ def load_spec(path: str, allow_unnormalized: bool = False) -> tuple[WPrimeSpec, 
     The file is JSON: {"coefficients": [[re, im], ...], "normalize": bool}.
     Without the normalize flag the squared magnitudes must sum to 1 within
     1e-6; ingestion always rescales exactly so downstream code sees a unit
-    vector. The squares are taken at a power-of-two scale of the largest
-    component, exact in binary, so no magnitude a double can hold
-    overflows or underflows them.
+    vector. The rows load into one (N, 2) float64 array whose squares are
+    taken at a power-of-two scale of the largest component, exact in binary,
+    so no magnitude a double can hold overflows or underflows them.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -111,28 +112,27 @@ def load_spec(path: str, allow_unnormalized: bool = False) -> tuple[WPrimeSpec, 
     rows = doc["coefficients"]
     if not isinstance(rows, list) or len(rows) < 2:
         raise SpecError("need at least 2 coefficient pairs")
-    coeffs = []
+    # exact types per row: numpy's float conversion takes bools and numeric strings
     for i, row in enumerate(rows):
+        x, y = row if type(row) is list and len(row) == 2 else (None, None)
         try:
-            ok = (
-                isinstance(row, (list, tuple))
-                and len(row) == 2
-                and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row)
-                and all(math.isfinite(float(x)) for x in row)
-            )
+            ok = type(x) in (int, float) and type(y) in (int, float) and math.isfinite(x) and math.isfinite(y)
         except OverflowError:  # an integer beyond the double range
             ok = False
         if not ok:
             raise SpecError(f"coefficient {i}: expected a [re, im] pair of finite numbers")
-        coeffs.append(complex(float(row[0]), float(row[1])))
+    pairs = np.fromiter(chain.from_iterable(rows), np.float64, 2 * len(rows)).reshape(-1, 2)
     normalize = doc.get("normalize", False)
     if not isinstance(normalize, bool):
         raise SpecError("'normalize' must be a boolean")
-    peak = max(max(abs(c.real), abs(c.imag)) for c in coeffs)
+    peak = float(np.abs(pairs).max())
     if peak == 0.0:
         raise SpecError("all coefficients are zero")
     e = math.frexp(peak)[1]
-    total = sum(abs(complex(math.ldexp(c.real, -e), math.ldexp(c.imag, -e))) ** 2 for c in coeffs)
+    # float_power is libm pow like Python's ** (np.square rounds some squares apart);
+    # add.accumulate sums in file order on every Python (sum() is compensated on 3.12+)
+    scaled = np.ldexp(pairs, -e)
+    total = np.add.accumulate(np.float_power(np.hypot(scaled[:, 0], scaled[:, 1]), 2))[-1]
     if not (normalize or allow_unnormalized):
         try:
             norm_sq = math.ldexp(total, 2 * e)
@@ -150,7 +150,7 @@ def load_spec(path: str, allow_unnormalized: bool = False) -> tuple[WPrimeSpec, 
             f"largest coefficient component {peak!r} is too small to rescale: "
             "the normalization factor overflows"
         ) from None
-    return WPrimeSpec([c * factor for c in coeffs]), factor
+    return WPrimeSpec(pairs.view(np.complex128)[:, 0] * factor), factor
 
 
 # ---------------------------------------------------------------------------

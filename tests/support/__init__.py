@@ -7,7 +7,9 @@ Jaynes-Cummings propagator) whose blocks the package computes in closed
 form; `dense` is the dense evolve -> branch walk -> phase correction ->
 fidelity path over those matrices, plus the Jaynes-Cummings Hamiltonian
 whose eigendecomposition checks the closed-form propagator; `sampler` is
-the matrix-form Monte Carlo sampler the streaming one is checked against.
+the matrix-form Monte Carlo sampler the streaming one is checked against;
+`ingest` is the list-based coefficient-file loader the array one in
+wdistill.cli is checked against.
 Nothing here is imported by the package.
 """
 from wdistill.cli import _branch_rows

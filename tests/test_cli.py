@@ -8,6 +8,7 @@ import pytest
 
 from conftest import random_spec
 from wdistill.cli import main, render_report
+from wdistill.protocol import FIDELITY_TOL
 
 WORKED_FILE = {"coefficients": [[0.70710678, 0], [0.54772256, 0], [0.44721360, 0]]}
 
@@ -108,6 +109,14 @@ class TestDistill:
             {"coefficients": [[1, 0], [0, "x"]]},
             {"coefficients": [[1, 0], [0]]},
             {"no_coefficients": []},
+            # json.dumps writes NaN, Infinity and -Infinity tokens
+            {"coefficients": [[0.6, 0], [True, 0.8]]},
+            {"coefficients": [[0.6, 0], ["0.8", 0]]},
+            {"coefficients": [[0.6, 0], [[0.8], 0]]},
+            {"coefficients": [[0.6, 0], None]},
+            {"coefficients": [[0.6, 0], [math.nan, 0.8]]},
+            {"coefficients": [[0.6, 0], [0, math.inf]]},
+            {"coefficients": [[0.6, 0], [-math.inf, 0]]},
         ],
     )
     def test_malformed_specs_exit_2(self, tmp_path, doc):
@@ -346,6 +355,24 @@ class TestIngestRange:
         path = write_spec(tmp_path, {"coefficients": [[5e-324, 0], [5e-324, 0]], "normalize": True})
         assert main(["distill", path]) == 2
         assert "too small to rescale" in capsys.readouterr().err
+
+
+class TestCavityRange:
+    """The cavity scheme at any ratio min|c_i| / |c_k| down to 1e-150: keep is the
+    ratio itself, so no relative error of size ulp / ratio reaches the fidelity."""
+
+    @pytest.mark.parametrize("ratio", [1e-11, 1e-15, 1e-100, 1e-150])
+    def test_small_ratio_meets_both_cross_checks(self, capsys, tmp_path, ratio):
+        doc = {"coefficients": [[0.6, 0.8], [0.0, ratio], [-1.0, 0.0]], "normalize": True}
+        code, out = run_cli(capsys, "cavity", write_spec(tmp_path, doc))
+        assert code == 0
+        report = json.loads(out)
+        analytic = 3 * (ratio / math.sqrt(2)) ** 2
+        assert report["success_probability_analytic"] == pytest.approx(analytic, rel=1e-14)
+        # relative: PROB_MATCH_TOL is absolute, and the probability is ~ratio^2;
+        # cos(acos r) would put a relative error of ~2e-16 / ratio on it
+        assert report["success_probability_exact"] == pytest.approx(analytic, rel=1e-12)
+        assert abs(1.0 - report["fidelity_with_w"]) <= FIDELITY_TOL
 
 
 class TestExitCodes:

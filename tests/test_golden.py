@@ -1,16 +1,17 @@
 """Byte-for-byte regression of the CLI reports.
 
-tests/golden/ holds three coefficient files (the worked N=3 spec, a random
-complex N=5 spec, and an N=4 spec whose two smallest magnitudes differ by
-4e-13, inside MAG_TIE_TOL) and the exact stdout of every subcommand on
-them. Any engine change must reproduce these bytes; a file is regenerated
-only when a change deliberately moves its bytes, and the change log says
-which.
+tests/golden/ holds four coefficient files (the worked N=3 spec, random
+complex N=5 and N=64 specs, and an N=4 spec whose two smallest magnitudes
+differ by 4e-13, inside MAG_TIE_TOL) and the exact stdout of every
+subcommand on them. Any engine change must reproduce these bytes; a file
+is regenerated only when a change deliberately moves its bytes, and the
+change log says which.
 
 Report bytes also depend on which SIMD kernels numpy dispatches to (e.g.
-np.angle and np.arcsin of an array round some inputs differently with and
+np.angle and np.arccos of an array round some inputs differently with and
 without AVX-512), so the goldens are also rerun with numpy's AVX-512 kernels
-switched off.
+switched off. The N=64 spec has enough coefficients that swapping libm
+acos for np.arccos moves its cavity reports.
 """
 import json
 import os
@@ -34,7 +35,7 @@ SPEC_COMMANDS = {
 
 CASES = {
     f"{spec}.{name}": [cmd[0], os.path.join(GOLDEN, f"{spec}.json"), *cmd[1:]]
-    for spec in ("worked", "random5", "near_tie")
+    for spec in ("worked", "random5", "random64", "near_tie")
     for name, cmd in SPEC_COMMANDS.items()
 }
 CASES["sweep"] = ["sweep", "--n", "4", "--steps", "6"]
