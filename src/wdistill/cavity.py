@@ -9,14 +9,14 @@ phases are recorded per step and repaired by classical Ramsey-zone pulses.
 
 Each pass conserves excitation number, so the simulation runs in the same
 single-excitation sector as the abstract scheme: atom k's pass acts on
-{|e,0>, |g,1>} as a 2x2 Rabi rotation and on |g,0> as a phase, whatever the
-Fock cutoff, and jc_steps gives those entries in closed form. The cutoff
-therefore changes no result; it stays a validated JCParams field, reported
-with the other parameters. The Ramsey repair is one array of phases, one
-entry per atom (see run_physical).
+{|e,0>, |g,1>} as a 2x2 Rabi rotation and on |g,0> as a phase, however
+many photons the cavity could hold, and jc_steps gives those entries in
+closed form. That closed form is the resonant model, mode and atomic
+transition both at w, so w and the coupling eps are all a result depends on.
+The Ramsey repair is one array of phases, one entry per atom (see
+run_physical).
 
-hbar = 1 throughout. The closed form requires exact resonance (w = w0);
-off-resonant dynamics sit outside the protocol.
+hbar = 1 throughout.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import UnsupportedModeError, ValidationError
+from .errors import ValidationError
 from .protocol import (
     DistillationReport,
     SectorState,
@@ -36,33 +36,22 @@ from .protocol import (
     evolve_sector,
 )
 
-RESONANCE_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class JCParams:
-    """Jaynes-Cummings model parameters and the retained Fock-space cutoff."""
+    """Resonant Jaynes-Cummings parameters: frequency omega, coupling epsilon."""
 
     omega: float
-    omega0: float
     epsilon: float
-    fock_cutoff: int = 1
 
     def __post_init__(self):
-        for name in ("omega", "omega0", "epsilon"):
+        for name in ("omega", "epsilon"):
             v = float(getattr(self, name))
             if not math.isfinite(v):
                 raise ValidationError(f"{name} must be finite")
             object.__setattr__(self, name, v)
         if self.epsilon <= 0:
             raise ValidationError(f"coupling epsilon must be > 0, got {self.epsilon}")
-        if int(self.fock_cutoff) < 1:
-            raise ValidationError(f"fock_cutoff must be >= 1, got {self.fock_cutoff}")
-        object.__setattr__(self, "fock_cutoff", int(self.fock_cutoff))
-
-    @property
-    def is_resonant(self) -> bool:
-        return abs(self.omega - self.omega0) <= RESONANCE_TOL * max(abs(self.omega), 1.0)
 
 
 def jc_steps(
@@ -79,8 +68,6 @@ def jc_steps(
     min|c_i| / |c_k|, and keep takes r_k for cos(eps dt_k): cos(arccos r)
     errs by an ulp of 1, not of r. Arrays are in acting_parties order.
     """
-    if not params.is_resonant:
-        raise UnsupportedModeError("physical protocol requires resonant parameters")
     c = spec.coeffs[acting_parties(spec)]
     # hypot rounds |c_k| as abs() rounded min|c_i|, which np.abs need not:
     # a party tied at the minimum gets ratio 1 and dt = 0 exactly

@@ -8,7 +8,6 @@ error, 2 invalid coefficient specification, 3 internal numerical failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -103,6 +102,8 @@ def load_spec(path: str, allow_unnormalized: bool = False) -> tuple[WPrimeSpec, 
             text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SpecError(f"{path} is not valid UTF-8: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -204,9 +205,15 @@ def _exact_report(spec: WPrimeSpec, factor: float, scheme: str, report: Distilla
     return doc
 
 
-def _jc_params(args) -> JCParams:
-    """Resonant JC parameters from the --epsilon/--omega/--fock flags."""
-    return JCParams(omega=args.omega, omega0=args.omega, epsilon=args.epsilon, fock_cutoff=args.fock)
+def _jc_params(args) -> tuple[JCParams, dict]:
+    """JC parameters from the flags, and the report's jc_params echo of them."""
+    params = JCParams(omega=args.omega, epsilon=args.epsilon)
+    # the cutoff changes no result (a cavity never holds two photons); schema 2
+    # still validates and echoes it, with omega0 = omega, until schema 3
+    if args.fock < 1:
+        raise ValidationError(f"fock_cutoff must be >= 1, got {args.fock}")
+    w = params.omega
+    return params, {"epsilon": params.epsilon, "fock_cutoff": args.fock, "omega": w, "omega0": w}
 
 
 def cmd_distill(args) -> int:
@@ -217,11 +224,11 @@ def cmd_distill(args) -> int:
 
 
 def cmd_cavity(args) -> int:
-    params = _jc_params(args)
+    params, jc_echo = _jc_params(args)
     spec, factor = load_spec(args.spec_path, args.allow_unnormalized)
     report = run_physical(spec, params)
     doc = _exact_report(spec, factor, "cavity", report)
-    doc["jc_params"] = dataclasses.asdict(params)
+    doc["jc_params"] = jc_echo
     users = (acting_parties(spec) + 1).tolist()
     doc["steps"] = [{"user": k, "delta_t": t} for k, t in zip(users, report.cavity_steps.tolist())]
     _emit(render_report(doc), args.out)
@@ -234,8 +241,8 @@ def cmd_sample(args) -> int:
     if not 0 <= args.seed < 2**64:
         raise UsageError("--seed must be a 64-bit unsigned integer")
     spec, factor = load_spec(args.spec_path, args.allow_unnormalized)
-    params = _jc_params(args) if args.scheme == "cavity" else None
-    config = TrialConfig(trials=args.trials, seed=args.seed, scheme=args.scheme, params=params)
+    params, jc_echo = _jc_params(args) if args.scheme == "cavity" else (None, None)
+    config = TrialConfig(trials=args.trials, seed=args.seed, params=params)
     stats = run_trials(spec, config)
     lo, hi = confidence_interval(stats, WILSON_Z)
     doc = _base_report(spec, factor, args.scheme)
@@ -253,8 +260,8 @@ def cmd_sample(args) -> int:
             "histogram": stats.outcome_histogram,
         }
     )
-    if params is not None:
-        doc["jc_params"] = dataclasses.asdict(params)
+    if jc_echo is not None:
+        doc["jc_params"] = jc_echo
     _emit(render_report(doc), args.out)
     return EXIT_OK
 

@@ -19,9 +19,5 @@ class DegenerateCoefficientError(SpecError):
     """A coefficient is exactly zero; the distillation plan is undefined."""
 
 
-class UnsupportedModeError(ValidationError):
-    """Closed-form cavity evolution requested outside resonance."""
-
-
 class ToleranceError(ArithmeticError):
     """An internal numerical cross-check exceeded its tolerance."""

@@ -39,8 +39,6 @@ from .protocol import (
     zero_prefix_weights,
 )
 
-SCHEMES = ("abstract", "cavity")
-
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 # trials per chunk: bounds the sampler's memory, never its results
 _CHUNK = 1 << 16
@@ -48,9 +46,10 @@ _CHUNK = 1 << 16
 
 @dataclass(frozen=True)
 class TrialConfig:
+    """params selects the scheme: None the abstract one, JCParams the cavity."""
+
     trials: int
     seed: int
-    scheme: str = "abstract"
     params: JCParams | None = None
 
     def __post_init__(self):
@@ -58,10 +57,6 @@ class TrialConfig:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= int(self.seed) < 2**64:
             raise ValidationError("seed must be a 64-bit unsigned integer")
-        if self.scheme not in SCHEMES:
-            raise ValidationError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.scheme == "cavity" and self.params is None:
-            raise ValidationError("cavity scheme requires JC parameters")
 
 
 @dataclass(frozen=True)
@@ -142,10 +137,10 @@ def run_trials(spec: WPrimeSpec, config: TrialConfig) -> TrialStats:
     the first site read 0 and the second read 1); the all-zero key is the
     success pattern.
     """
-    if config.scheme == "cavity":
-        state = evolved_physical_state(spec, config.params)[0]
-    else:
+    if config.params is None:
         state = evolved_joint_state(spec)[0]
+    else:
+        state = evolved_physical_state(spec, config.params)[0]
     limits = _zero_limits(state)
     successes, fired = _tally(config.seed, config.trials, limits)
 

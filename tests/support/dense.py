@@ -16,8 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from wdistill.cavity import JCParams
-from wdistill.errors import ToleranceError, UnsupportedModeError, ValidationError
+from wdistill.errors import ToleranceError, ValidationError
 from wdistill.protocol import (
     FIDELITY_TOL,
     PROB_MATCH_TOL,
@@ -35,7 +34,14 @@ from .statevec import (
     single_excitation_state,
     site_distribution,
 )
-from .steps import _jc_index, jc_propagator_closed, physical_plan, plan
+from .steps import (
+    JCModel,
+    UnsupportedModeError,
+    _jc_index,
+    jc_propagator_closed,
+    physical_plan,
+    plan,
+)
 
 
 @dataclass(frozen=True)
@@ -93,40 +99,40 @@ def evolved_joint_state(spec: WPrimeSpec) -> tuple[StateVector, tuple[int, ...]]
     return state, anc_sites
 
 
-def jc_hamiltonian(params: JCParams) -> np.ndarray:
+def jc_hamiltonian(model: JCModel) -> np.ndarray:
     """Atom-cavity Hamiltonian w a+a + w0 Sz + eps (a S+ + a+ S-), truncated.
 
     Dimension 2*(fock_cutoff+1) on (atom tensor fock) ordering; Sz has
     eigenvalues +-1/2 so bare atomic energies are +-w0/2.
     """
-    d = params.fock_cutoff + 1
+    d = model.fock_cutoff + 1
     h = np.zeros((2 * d, 2 * d), dtype=np.complex128)
     for n in range(d):
-        h[_jc_index(d, 0, n), _jc_index(d, 0, n)] = params.omega * n - params.omega0 / 2
-        h[_jc_index(d, 1, n), _jc_index(d, 1, n)] = params.omega * n + params.omega0 / 2
+        h[_jc_index(d, 0, n), _jc_index(d, 0, n)] = model.omega * n - model.omega0 / 2
+        h[_jc_index(d, 1, n), _jc_index(d, 1, n)] = model.omega * n + model.omega0 / 2
     for n in range(d - 1):
-        g = params.epsilon * math.sqrt(n + 1)
+        g = model.epsilon * math.sqrt(n + 1)
         h[_jc_index(d, 0, n + 1), _jc_index(d, 1, n)] = g
         h[_jc_index(d, 1, n), _jc_index(d, 0, n + 1)] = g
     return h
 
 
-def evolved_physical_state(spec: WPrimeSpec, params: JCParams):
+def evolved_physical_state(spec: WPrimeSpec, model: JCModel):
     """Atoms + cavities after every atom-cavity pass, before photodetection.
 
     Returns (state, cavity sites in measurement order, step plans).
     """
-    if not params.is_resonant:
+    if not model.is_resonant:
         raise UnsupportedModeError("physical protocol requires resonant parameters")
-    plans = physical_plan(spec, params)
+    plans = physical_plan(spec, model.params)
     n = spec.n
-    fock_dim = params.fock_cutoff + 1
+    fock_dim = model.fock_cutoff + 1
     labels = tuple(f"atom{i + 1}" for i in range(n)) + tuple(f"cav{p.k + 1}" for p in plans)
     layout = SubsystemLayout((2,) * n + (fock_dim,) * (n - 1), labels)
     state = single_excitation_state(layout, spec.coeffs)
     cavity_sites = tuple(n + i for i in range(n - 1))
     for plan_k, cav in zip(plans, cavity_sites):
-        u = jc_propagator_closed(params, plan_k.delta_t)
+        u = jc_propagator_closed(model, plan_k.delta_t)
         state = apply_local(state, u, (plan_k.k, cav))
     return state, cavity_sites, plans
 
@@ -264,9 +270,9 @@ def run_exact(spec: WPrimeSpec) -> DenseReport:
     return distill(spec, state, anc_sites)
 
 
-def run_physical(spec: WPrimeSpec, params: JCParams) -> DenseReport:
+def run_physical(spec: WPrimeSpec, model: JCModel) -> DenseReport:
     """Run the cavity scheme exactly: evolve, photodetect, Ramsey-repair."""
-    state, cavity_sites, plans = evolved_physical_state(spec, params)
+    state, cavity_sites, plans = evolved_physical_state(spec, model)
     ledger = {
         p.k: cmath.phase(spec.coeffs[p.k])
         - (p.accrued_phases["unaffected"] - p.accrued_phases["acting"])

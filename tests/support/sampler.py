@@ -23,6 +23,8 @@ from wdistill.protocol import (
     zero_prefix_weights,
 )
 
+from .steps import JCModel
+
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
 
@@ -49,13 +51,13 @@ def _zero_prefix_cdfs(state: SectorState, mode_dim: int) -> np.ndarray:
     return np.cumsum(probs, axis=1)
 
 
-def zero_prefix_cdfs(spec: WPrimeSpec, params=None) -> np.ndarray:
+def zero_prefix_cdfs(spec: WPrimeSpec, model: JCModel | None = None) -> np.ndarray:
     """_zero_prefix_cdfs of the evolved state of either scheme: the
-    abstract one when params is None, else the cavity one with
-    params.fock_cutoff + 1 outcomes per mode."""
-    if params is None:
+    abstract one when model is None, else the cavity one with
+    model.fock_cutoff + 1 outcomes per mode."""
+    if model is None:
         return _zero_prefix_cdfs(evolved_joint_state(spec)[0], 2)
-    return _zero_prefix_cdfs(evolved_physical_state(spec, params)[0], params.fock_cutoff + 1)
+    return _zero_prefix_cdfs(evolved_physical_state(spec, model.params)[0], model.fock_cutoff + 1)
 
 
 def trial_uniforms(seed: int, trials: int, draws: int) -> np.ndarray:
@@ -72,9 +74,14 @@ def trial_uniforms(seed: int, trials: int, draws: int) -> np.ndarray:
     return out
 
 
-def run_trials(spec: WPrimeSpec, config: TrialConfig) -> TrialStats:
-    """Sample config.trials runs of the protocol and tally the outcomes."""
-    cdfs = zero_prefix_cdfs(spec, config.params if config.scheme == "cavity" else None)
+def run_trials(spec: WPrimeSpec, config: TrialConfig, model: JCModel | None = None) -> TrialStats:
+    """Sample config.trials runs of the protocol and tally the outcomes.
+
+    model is the cavity model config.params came from, whose cutoff sets the
+    outcomes per mode; None with the abstract scheme's config."""
+    if config.params != (None if model is None else model.params):
+        raise ValueError("config.params must be model.params")
+    cdfs = zero_prefix_cdfs(spec, model)
     n_steps = len(cdfs)
 
     u = trial_uniforms(config.seed, config.trials, n_steps)

@@ -7,6 +7,12 @@ two-qubit unitary of the abstract scheme and the 2(f+1)-square resonant
 Jaynes-Cummings propagator of the cavity scheme, with their per-party plans.
 The dense oracle evolves with these matrices, and leaked_entries checks that
 a matrix cannot take a single-excitation ket out of the sector.
+
+JCModel is the Jaynes-Cummings model those matrices are built from: the mode
+frequency omega, the atomic transition frequency omega0 and the Fock cutoff,
+besides the coupling. The package runs the resonant model only, on the
+sector, where the cutoff changes nothing, so it takes JCModel.params, the
+(omega, epsilon) that model reduces to.
 """
 from __future__ import annotations
 
@@ -17,12 +23,51 @@ from dataclasses import dataclass
 import numpy as np
 
 from wdistill.cavity import JCParams
-from wdistill.errors import UnsupportedModeError, ValidationError
+from wdistill.errors import ValidationError
 from wdistill.protocol import WPrimeSpec
+
+RESONANCE_TOL = 1e-12
 
 # basis of the abstract step matrix: the ancilla is the high bit, so
 # |0,0a> is index 0, |1,0a> index 1 and |0,1a> index 2
 ANCILLA_VAC, ANCILLA_PAIR = 0, (1, 2)
+
+
+class UnsupportedModeError(ValueError):
+    """Closed-form cavity evolution requested outside resonance."""
+
+
+@dataclass(frozen=True)
+class JCModel:
+    """Truncated, possibly detuned Jaynes-Cummings model: mode frequency
+    omega, atomic transition frequency omega0, coupling epsilon and the
+    retained Fock-space cutoff."""
+
+    omega: float
+    omega0: float
+    epsilon: float
+    fock_cutoff: int = 1
+
+    def __post_init__(self):
+        for name in ("omega", "omega0", "epsilon"):
+            v = float(getattr(self, name))
+            if not math.isfinite(v):
+                raise ValidationError(f"{name} must be finite")
+            object.__setattr__(self, name, v)
+        if self.epsilon <= 0:
+            raise ValidationError(f"coupling epsilon must be > 0, got {self.epsilon}")
+        if int(self.fock_cutoff) < 1:
+            raise ValidationError(f"fock_cutoff must be >= 1, got {self.fock_cutoff}")
+        object.__setattr__(self, "fock_cutoff", int(self.fock_cutoff))
+
+    @property
+    def is_resonant(self) -> bool:
+        return abs(self.omega - self.omega0) <= RESONANCE_TOL * max(abs(self.omega), 1.0)
+
+    @property
+    def params(self) -> JCParams:
+        """The package's parameters for this model (it runs at resonance)."""
+        return JCParams(omega=self.omega, epsilon=self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -89,32 +134,32 @@ def jc_sector_kets(fock_dim: int) -> tuple[int, tuple[int, int]]:
     return _jc_index(fock_dim, 0, 0), (_jc_index(fock_dim, 1, 0), _jc_index(fock_dim, 0, 1))
 
 
-def jc_propagator_closed(params: JCParams, t: float) -> np.ndarray:
+def jc_propagator_closed(model: JCModel, t: float) -> np.ndarray:
     """exp(-i H t) at resonance, assembled sector by sector.
 
     |g,0> picks up e^{+i w t/2}; each excitation sector {|e,n>, |g,n+1>}
     Rabi-oscillates at eps*sqrt(n+1) under a common e^{-i w (n+1/2) t}; the
     dangling |e,cutoff> level is uncoupled in the truncated space.
     """
-    if not params.is_resonant:
+    if not model.is_resonant:
         raise UnsupportedModeError(
             "closed-form propagator requires resonance (omega == omega0); "
             "off-resonant dynamics are outside the protocol"
         )
-    d = params.fock_cutoff + 1
+    d = model.fock_cutoff + 1
     t = float(t)
     u = np.zeros((2 * d, 2 * d), dtype=np.complex128)
-    u[_jc_index(d, 0, 0), _jc_index(d, 0, 0)] = cmath.exp(0.5j * params.omega * t)
+    u[_jc_index(d, 0, 0), _jc_index(d, 0, 0)] = cmath.exp(0.5j * model.omega * t)
     for n in range(d - 1):
-        theta = params.epsilon * math.sqrt(n + 1) * t
-        common = cmath.exp(-1j * params.omega * (n + 0.5) * t)
+        theta = model.epsilon * math.sqrt(n + 1) * t
+        common = cmath.exp(-1j * model.omega * (n + 0.5) * t)
         e_n, g_n1 = _jc_index(d, 1, n), _jc_index(d, 0, n + 1)
         u[e_n, e_n] = common * math.cos(theta)
         u[g_n1, g_n1] = common * math.cos(theta)
         u[g_n1, e_n] = -1j * common * math.sin(theta)
         u[e_n, g_n1] = -1j * common * math.sin(theta)
     top = _jc_index(d, 1, d - 1)
-    u[top, top] = cmath.exp(-1j * params.omega * (d - 0.5) * t)
+    u[top, top] = cmath.exp(-1j * model.omega * (d - 0.5) * t)
     return u
 
 

@@ -13,7 +13,7 @@ from conftest import WORKED_COEFFS, random_spec
 from support import dense
 from support.linalg import is_unitary, propagator
 from support.statevec import StateVector, apply_local, drop_collapsed_sites, project_site
-from support.steps import jc_propagator_closed, plan
+from support.steps import JCModel, jc_propagator_closed, plan
 from wdistill.cavity import JCParams, jc_steps, run_physical
 from wdistill.cli import main
 from wdistill.montecarlo import TrialConfig, run_trials
@@ -95,7 +95,7 @@ def test_criterion_4_physical_abstract_equivalence():
     for _ in range(100):
         spec = random_spec(rng, int(rng.integers(2, 7)))
         w = rng.uniform(1.0, 100.0)
-        params = JCParams(omega=w, omega0=w, epsilon=rng.uniform(0.5, 5.0))
+        params = JCParams(omega=w, epsilon=rng.uniform(0.5, 5.0))
         p_abs = run_exact(spec).success_probability_exact
         rep = run_physical(spec, params)
         if abs(rep.success_probability_exact - p_abs) > 1e-10:
@@ -113,16 +113,16 @@ def test_criterion_5_jc_oracle():
     rng = np.random.default_rng(5150)
     for _ in range(50):
         w = rng.uniform(1.0, 100.0)
-        params = JCParams(
+        model = JCModel(
             omega=w, omega0=w, epsilon=rng.uniform(0.5, 5.0), fock_cutoff=int(rng.integers(1, 4))
         )
-        t = rng.uniform(0.0, 10.0 / params.epsilon)
-        closed = jc_propagator_closed(params, t)
-        oracle = propagator(dense.jc_hamiltonian(params), t)
+        t = rng.uniform(0.0, 10.0 / model.epsilon)
+        closed = jc_propagator_closed(model, t)
+        oracle = propagator(dense.jc_hamiltonian(model), t)
         dev = np.max(np.abs(closed - oracle))
         if dev > 1e-10:
             failures.append(f"propagator deviation {dev!r}")
-        d = params.fock_cutoff + 1
+        d = model.fock_cutoff + 1
         excitation = np.array([a + n for a in (0, 1) for n in range(d)])
         mixing = excitation[:, None] != excitation[None, :]
         for u in (closed, oracle):
@@ -139,13 +139,13 @@ def test_criterion_6_timing_law():
         spec = random_spec(rng, int(rng.integers(2, 8)))
         eps = rng.uniform(0.5, 5.0)
         min_mag = min(abs(c) for c in spec.coeffs)
-        dts = jc_steps(spec, JCParams(omega=1.0, omega0=1.0, epsilon=eps))[0]
+        dts = jc_steps(spec, JCParams(omega=1.0, epsilon=eps))[0]
         for k, dt in zip(acting_parties(spec), dts):
             resid = abs(abs(spec.coeffs[k]) * math.cos(eps * dt) - min_mag)
             if resid > 1e-12:
                 failures.append(f"timing identity residual {resid!r}")
     worked = WPrimeSpec(WORKED_COEFFS)
-    dt = jc_steps(worked, JCParams(omega=1.0, omega0=1.0, epsilon=1.0))[0][0]
+    dt = jc_steps(worked, JCParams(omega=1.0, epsilon=1.0))[0][0]
     if abs(dt - 0.8860771) > 1e-7:
         failures.append(f"worked interaction time {dt!r} vs 0.8860771")
     _finish(6, "interaction times satisfy |c_k| cos(eps dt) = min|c_i|", failures)
@@ -180,8 +180,8 @@ def test_criterion_8_property_suites(tmp_path):
             if not is_unitary(step.u_k, 1e-12):
                 failures.append(f"step unitary for n={spec.n} fails the 1e-12 check")
         w = rng.uniform(1.0, 60.0)
-        params = JCParams(omega=w, omega0=w, epsilon=rng.uniform(0.5, 4.0))
-        if not is_unitary(jc_propagator_closed(params, rng.uniform(0.0, 5.0)), 1e-12):
+        model = JCModel(omega=w, omega0=w, epsilon=rng.uniform(0.5, 4.0))
+        if not is_unitary(jc_propagator_closed(model, rng.uniform(0.0, 5.0)), 1e-12):
             failures.append("cavity propagator fails the 1e-12 unitarity check")
 
     # step-order invariance of the evolved (dense) joint state
@@ -226,8 +226,8 @@ def test_criterion_8_property_suites(tmp_path):
 
     # probabilities and corrected output do not depend on the mode frequency
     spec = random_spec(rng, 4)
-    rep_a = run_physical(spec, JCParams(omega=2.0, omega0=2.0, epsilon=1.1))
-    rep_b = run_physical(spec, JCParams(omega=93.0, omega0=93.0, epsilon=1.1))
+    rep_a = run_physical(spec, JCParams(omega=2.0, epsilon=1.1))
+    rep_b = run_physical(spec, JCParams(omega=93.0, epsilon=1.1))
     if abs(rep_a.success_probability_exact - rep_b.success_probability_exact) > 1e-12:
         failures.append("success probability depends on the mode frequency")
     if np.max(np.abs(rep_a.final_state - rep_b.final_state)) > 1e-12:

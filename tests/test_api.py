@@ -32,6 +32,15 @@ REMOVED = (
     "BranchRecord",
     "_zero_prefix_cdfs",
     "from_coefficients",
+    # the detuned, truncated JC model (JCModel) lives on in tests/support/steps.py;
+    # TrialConfig.params alone selects the sampled scheme
+    "UnsupportedModeError",
+    "RESONANCE_TOL",
+    "SCHEMES",
+    "omega0",
+    "is_resonant",
+    "fock_cutoff",
+    "scheme",
 )
 # dense state-vector names: the package runs in the single-excitation sector,
 # and these live on only as the test oracle in tests/support
@@ -56,8 +65,10 @@ def test_every_exported_name_resolves():
 @pytest.mark.parametrize("name", REMOVED)
 def test_removed_name_is_gone(name):
     assert name not in wdistill.__all__
-    for owner in (*MODULES, protocol.WPrimeSpec):
+    for owner in (*MODULES, protocol.WPrimeSpec, cavity.JCParams, montecarlo.TrialConfig):
         assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+        # a dataclass field without a default is no class attribute
+        assert name not in getattr(owner, "__dataclass_fields__", {}), f"{owner.__name__}.{name}"
 
 
 def test_branch_records_spell_no_pattern_tuple():

@@ -166,10 +166,14 @@ class TestCavity:
             (["cavity", "--epsilon", "-2"], "coupling epsilon must be > 0, got -2.0"),
             (["cavity", "--fock", "0"], "fock_cutoff must be >= 1, got 0"),
             (["sample", "--scheme", "cavity", "--epsilon", "0"], "coupling epsilon must be > 0, got 0.0"),
+            (["sample", "--scheme", "cavity", "--fock", "0"], "fock_cutoff must be >= 1, got 0"),
+            # both flags invalid: the coupling is named, as JCParams checks it first
+            (["cavity", "--epsilon", "0", "--fock", "0"], "coupling epsilon must be > 0, got 0.0"),
+            (["cavity", "--epsilon", "nan", "--fock", "0"], "epsilon must be finite"),
         ],
     )
     def test_bad_jc_flags_exit_2(self, capsys, worked_path, argv, message):
-        # JCParams is the one place that checks them
+        # JCParams checks --epsilon and --omega, then the CLI checks --fock
         assert main([argv[0], worked_path, *argv[1:]]) == 2
         assert capsys.readouterr().err == f"wdistill: invalid input: {message}\n"
 
@@ -344,6 +348,12 @@ class TestIngestRange:
         assert doc["normalization_factor"] == pytest.approx(1 / (mag * math.sqrt(2)), rel=1e-15)
         assert doc["success_probability_exact"] == pytest.approx(1.0, abs=1e-15)
         assert doc["fidelity_with_w"] == pytest.approx(1.0, abs=1e-15)
+
+    def test_invalid_utf8_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"coefficients": [[1, 0], [0, 1]]}\xff')
+        assert main(["distill", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"wdistill: invalid spec: {path} is not valid UTF-8: ")
 
     def test_zero_message_only_for_an_all_zero_file(self, capsys, tmp_path):
         path = write_spec(tmp_path, {"coefficients": [[0, 0], [0.0, -0.0]], "normalize": True})

@@ -6,8 +6,7 @@ import pytest
 from support import ShapeError
 from support.dense import jc_hamiltonian
 from support.linalg import adjoint, eigh_hermitian, is_unitary, mat_mul, propagator
-from support.steps import jc_propagator_closed
-from wdistill.cavity import JCParams
+from support.steps import JCModel, jc_propagator_closed
 from wdistill.errors import ValidationError
 
 
@@ -127,9 +126,9 @@ class TestPropagator:
         np.testing.assert_allclose(propagator(h, t), expected, atol=1e-12)
 
     def test_matches_closed_form_cavity_block(self):
-        params = JCParams(omega=5.0, omega0=5.0, epsilon=1.0, fock_cutoff=1)
-        u = propagator(jc_hamiltonian(params), math.pi / 4)
-        np.testing.assert_allclose(u, jc_propagator_closed(params, math.pi / 4), atol=1e-10)
+        model = JCModel(omega=5.0, omega0=5.0, epsilon=1.0, fock_cutoff=1)
+        u = propagator(jc_hamiltonian(model), math.pi / 4)
+        np.testing.assert_allclose(u, jc_propagator_closed(model, math.pi / 4), atol=1e-10)
 
     def test_group_law_and_unitarity(self):
         rng = np.random.default_rng(11)

@@ -9,6 +9,7 @@ from conftest import random_spec
 from support import dense, sampler
 from support.sampler import trial_uniforms
 from support.statevec import project_site, site_distribution
+from support.steps import JCModel
 from wdistill import montecarlo
 from wdistill.cavity import JCParams, evolved_physical_state
 from wdistill.cli import _branch_rows, load_spec
@@ -60,14 +61,6 @@ class TestTrialConfig:
             TrialConfig(trials=1, seed=-1)
         with pytest.raises(ValidationError):
             TrialConfig(trials=1, seed=2**64)
-
-    def test_cavity_scheme_needs_params(self):
-        with pytest.raises(ValidationError):
-            TrialConfig(trials=1, seed=1, scheme="cavity")
-
-    def test_rejects_unknown_scheme(self):
-        with pytest.raises(ValidationError):
-            TrialConfig(trials=1, seed=1, scheme="magic")
 
 
 class TestTrialUniforms:
@@ -154,11 +147,9 @@ class TestRunTrials:
 
     def test_cavity_scheme_agrees_with_abstract(self, worked_spec):
         trials = 20_000
-        params = JCParams(omega=50, omega0=50, epsilon=1.0)
+        params = JCParams(omega=50, epsilon=1.0)
         abstract = run_trials(worked_spec, TrialConfig(trials=trials, seed=21))
-        cavity = run_trials(
-            worked_spec, TrialConfig(trials=trials, seed=21, scheme="cavity", params=params)
-        )
+        cavity = run_trials(worked_spec, TrialConfig(trials=trials, seed=21, params=params))
         # identical streams against numerically identical Born probabilities
         assert abs(cavity.empirical_p - abstract.empirical_p) <= 2.0 / trials
 
@@ -196,25 +187,25 @@ FOCK = (None, 1, 2, 3)  # None: the abstract scheme
 CHUNK_TRIALS = {1: 301, 7: 2_000, 4096: 10_001, None: 10_001}
 
 
-def _params(fock: int) -> JCParams:
-    return JCParams(omega=13.5, omega0=13.5, epsilon=0.7, fock_cutoff=fock)
+def _model(fock: int | None) -> JCModel | None:
+    return None if fock is None else JCModel(omega=13.5, omega0=13.5, epsilon=0.7, fock_cutoff=fock)
 
 
 def _config(trials: int, seed: int, fock: int | None) -> TrialConfig:
     if fock is None:
         return TrialConfig(trials=trials, seed=seed)
-    return TrialConfig(trials=trials, seed=seed, scheme="cavity", params=_params(fock))
+    return TrialConfig(trials=trials, seed=seed, params=_model(fock).params)
 
 
 def _state(spec: WPrimeSpec, fock: int | None):
     if fock is None:
         return evolved_joint_state(spec)[0]
-    return evolved_physical_state(spec, _params(fock))[0]
+    return evolved_physical_state(spec, _model(fock).params)[0]
 
 
 def _cdfs(spec: WPrimeSpec, fock: int | None) -> np.ndarray:
     """The reference sampler's CDF matrix, fock + 1 outcomes per cavity."""
-    return sampler.zero_prefix_cdfs(spec, None if fock is None else _params(fock))
+    return sampler.zero_prefix_cdfs(spec, _model(fock))
 
 
 class TestStreaming:
@@ -225,7 +216,7 @@ class TestStreaming:
         seed = 17 * spec.n + (fock or 0)
         for chunk, trials in CHUNK_TRIALS.items():
             config = _config(trials, seed, fock)
-            expected = sampler.run_trials(spec, config)
+            expected = sampler.run_trials(spec, config, _model(fock))
             monkeypatch.setattr(montecarlo, "_CHUNK", chunk or trials)
             stats = run_trials(spec, config)
             assert stats == expected, chunk

@@ -14,7 +14,8 @@ import pytest
 from conftest import random_spec
 from support import branch_rows, dense
 from support.sampler import zero_prefix_cdfs
-from wdistill.cavity import JCParams, run_physical
+from support.steps import JCModel
+from wdistill.cavity import run_physical
 from wdistill.cli import load_spec
 from wdistill.protocol import WPrimeSpec, run_exact
 
@@ -47,14 +48,14 @@ CASES = [
 ]
 
 
-def _params(fock: int) -> JCParams:
-    return JCParams(omega=13.5, omega0=13.5, epsilon=0.7, fock_cutoff=fock)
+def _model(fock: int) -> JCModel:
+    return JCModel(omega=13.5, omega0=13.5, epsilon=0.7, fock_cutoff=fock)
 
 
 def _runs(spec: WPrimeSpec, fock: int | None):
     if fock is None:
         return run_exact(spec), dense.run_exact(spec)
-    return run_physical(spec, _params(fock)), dense.run_physical(spec, _params(fock))
+    return run_physical(spec, _model(fock).params), dense.run_physical(spec, _model(fock))
 
 
 @pytest.mark.parametrize("name,fock", CASES)
@@ -85,8 +86,8 @@ def test_sampler_cdfs_match_dense(name, fock):
         cdfs = zero_prefix_cdfs(spec)
         dense_state, sites = dense.evolved_joint_state(spec)
     else:
-        cdfs = zero_prefix_cdfs(spec, _params(fock))
-        dense_state, sites, _ = dense.evolved_physical_state(spec, _params(fock))
+        cdfs = zero_prefix_cdfs(spec, _model(fock))
+        dense_state, sites, _ = dense.evolved_physical_state(spec, _model(fock))
     expected = dense.zero_prefix_cdfs(dense_state, sites)
     assert cdfs.shape == (len(expected), len(expected[0]))
     assert np.max(np.abs(cdfs - np.array(expected))) <= CDF_TOL

@@ -22,10 +22,11 @@ from support.steps import (
     jc_propagator_closed,
     jc_sector_kets,
     leaked_entries,
+    JCModel,
     physical_plan,
     plan,
 )
-from wdistill.cavity import JCParams, jc_steps
+from wdistill.cavity import jc_steps
 from wdistill.cli import load_spec
 from wdistill.protocol import WPrimeSpec, ancilla_steps
 
@@ -60,15 +61,15 @@ def _reference(name: str, fock: int | None):
         return [s.u_k for s in plan(spec)], ANCILLA_VAC, ANCILLA_PAIR, keep, fire, 1.0, 0.0
     rng = np.random.default_rng([spec.n, fock])
     w = rng.uniform(0.5, 100.0)
-    params = JCParams(omega=w, omega0=w, epsilon=rng.uniform(0.2, 5.0), fock_cutoff=fock)
-    dt, keep, fire, spectator = jc_steps(spec, params)
+    model = JCModel(omega=w, omega0=w, epsilon=rng.uniform(0.2, 5.0), fock_cutoff=fock)
+    dt, keep, fire, spectator = jc_steps(spec, model.params)
     # the matrices are taken at the runtime's times: omega * dt reaches ~10^2,
     # so an ulp of dt would move the phases by more than ENTRY_TOL
-    reference_dt = [p.delta_t for p in physical_plan(spec, params)]
+    reference_dt = [p.delta_t for p in physical_plan(spec, model.params)]
     np.testing.assert_allclose(dt, reference_dt, rtol=2 * np.finfo(float).eps, atol=0)
     vac, pair = jc_sector_kets(fock + 1)
     angle = 0.5 * w * math.fsum(dt)
-    return [jc_propagator_closed(params, t) for t in dt], vac, pair, keep, fire, spectator, angle
+    return [jc_propagator_closed(model, t) for t in dt], vac, pair, keep, fire, spectator, angle
 
 
 @pytest.mark.parametrize("name,fock", CASES)
