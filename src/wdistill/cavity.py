@@ -29,7 +29,6 @@ import numpy as np
 from .errors import ValidationError
 from .protocol import (
     DistillationReport,
-    SectorState,
     WPrimeSpec,
     acting_parties,
     distill,
@@ -67,28 +66,27 @@ def jc_steps(
     of every pass's |g,0> phase. dt_k = arccos(r_k) / eps with r_k =
     min|c_i| / |c_k|, and keep takes r_k for cos(eps dt_k): cos(arccos r)
     errs by an ulp of 1, not of r. Arrays are in acting_parties order.
+    Raises ValidationError if a dt or w sum(dt) is not finite.
     """
     c = spec.coeffs[acting_parties(spec)]
     # hypot rounds |c_k| as abs() rounded min|c_i|, which np.abs need not:
     # a party tied at the minimum gets ratio 1 and dt = 0 exactly
     r = np.minimum(1.0, spec.min_magnitude / np.hypot(c.real, c.imag))
     # libm acos: np.arccos's SIMD path rounds some inputs differently (see run_physical)
-    dt = np.fromiter(map(math.acos, r.tolist()), np.float64, len(r)) / params.epsilon
+    with np.errstate(over="ignore"):  # an overflowed dt is rejected below
+        dt = np.fromiter(map(math.acos, r.tolist()), np.float64, len(r)) / params.epsilon
+    try:
+        total = math.fsum(dt)  # inf if a dt is: every dt is >= 0
+    except OverflowError:  # finite times whose sum is beyond the double range
+        total = math.inf
+    if not math.isfinite(params.omega * total):
+        raise ValidationError(
+            f"coupling epsilon = {params.epsilon!r} with omega = {params.omega!r} gives interaction "
+            "times dt or a Ramsey angle omega * sum(dt) beyond the double range"
+        )
     turn = np.exp(-1j * params.omega * dt)
-    spectator = cmath.exp(0.5j * params.omega * math.fsum(dt))
+    spectator = cmath.exp(0.5j * params.omega * total)
     return dt, turn * r, -1j * turn * np.sin(params.epsilon * dt), spectator
-
-
-def evolved_physical_state(spec: WPrimeSpec, params: JCParams) -> tuple[SectorState, np.ndarray]:
-    """Atoms + cavities after every atom-cavity pass, before photodetection.
-
-    Returns (state, interaction times); cavity t belongs to party
-    acting_parties(spec)[t]. Shared by the physical runner and the
-    trajectory sampler.
-    """
-    dt, keep, fire, spectator = jc_steps(spec, params)
-    users = acting_parties(spec)
-    return evolve_sector(spec.coeffs, users, keep, fire, spectator), dt
 
 
 def run_physical(spec: WPrimeSpec, params: JCParams) -> DistillationReport:
@@ -98,9 +96,9 @@ def run_physical(spec: WPrimeSpec, params: JCParams) -> DistillationReport:
     relative to the spectator terms, and the minimal atom, which no pass
     acts on, keeps arg(c_j); the shared runner undoes exactly these phases.
     """
-    state, dt = evolved_physical_state(spec, params)
+    dt, *steps = jc_steps(spec, params)
     # cmath.phase, not np.angle: np.angle's SIMD path differs from atan2 by
     # an ulp on some inputs, which would make report bytes CPU-dependent
     phases = np.fromiter(map(cmath.phase, spec.coeffs.tolist()), np.float64, spec.n)
     phases[acting_parties(spec)] -= params.omega * dt
-    return replace(distill(spec, state, phases), cavity_steps=dt)
+    return replace(distill(spec, evolve_sector(spec, *steps), phases), cavity_steps=dt)

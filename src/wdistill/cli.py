@@ -108,6 +108,8 @@ def load_spec(path: str, allow_unnormalized: bool = False) -> tuple[WPrimeSpec, 
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise SpecError(f"{path} nests JSON too deeply to parse") from None
     if not isinstance(doc, dict) or "coefficients" not in doc:
         raise SpecError(f"{path}: expected an object with a 'coefficients' array")
     rows = doc["coefficients"]
@@ -241,8 +243,10 @@ def cmd_sample(args) -> int:
     if not 0 <= args.seed < 2**64:
         raise UsageError("--seed must be a 64-bit unsigned integer")
     spec, factor = load_spec(args.spec_path, args.allow_unnormalized)
-    params, jc_echo = _jc_params(args) if args.scheme == "cavity" else (None, None)
-    config = TrialConfig(trials=args.trials, seed=args.seed, params=params)
+    # the JC flags are validated under either scheme, and read by the cavity one
+    params, jc_echo = _jc_params(args)
+    cavity = args.scheme == "cavity"
+    config = TrialConfig(trials=args.trials, seed=args.seed, params=params if cavity else None)
     stats = run_trials(spec, config)
     lo, hi = confidence_interval(stats, WILSON_Z)
     doc = _base_report(spec, factor, args.scheme)
@@ -260,7 +264,7 @@ def cmd_sample(args) -> int:
             "histogram": stats.outcome_histogram,
         }
     )
-    if jc_echo is not None:
+    if cavity:
         doc["jc_params"] = jc_echo
     _emit(render_report(doc), args.out)
     return EXIT_OK

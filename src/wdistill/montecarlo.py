@@ -29,13 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import JCParams, evolved_physical_state
+from .cavity import JCParams, jc_steps
 from .errors import ToleranceError, ValidationError
 from .protocol import (
     SectorState,
     WPrimeSpec,
     analytic_success_probability,
-    evolved_joint_state,
+    ancilla_steps,
+    evolve_sector,
     zero_prefix_weights,
 )
 
@@ -92,6 +93,9 @@ def _zero_limits(state: SectorState) -> np.ndarray:
     limit <= 2^53.
     """
     remaining = zero_prefix_weights(state)
+    # the weights are nonnegative partial sums: any NaN or inf reaches the total
+    if not math.isfinite(remaining[0]):
+        raise ToleranceError(f"state weight {float(remaining[0])!r} is not finite")
     if remaining[-1] == 0.0:
         raise ToleranceError("all-zero measurement prefix has zero probability")
     return np.ceil(remaining[1:] / remaining[:-1] * 2.0**53).astype(np.uint64)
@@ -137,11 +141,8 @@ def run_trials(spec: WPrimeSpec, config: TrialConfig) -> TrialStats:
     the first site read 0 and the second read 1); the all-zero key is the
     success pattern.
     """
-    if config.params is None:
-        state = evolved_joint_state(spec)[0]
-    else:
-        state = evolved_physical_state(spec, config.params)[0]
-    limits = _zero_limits(state)
+    steps = ancilla_steps(spec) if config.params is None else jc_steps(spec, config.params)[1:]
+    limits = _zero_limits(evolve_sector(spec, *steps))
     successes, fired = _tally(config.seed, config.trials, limits)
 
     histogram = {"0" * t + "1": int(count) for t, count in enumerate(fired) if count}

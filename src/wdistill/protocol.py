@@ -166,35 +166,26 @@ def analytic_success_probability(spec: WPrimeSpec) -> float:
     return spec.n * spec.min_magnitude**2
 
 
-def evolve_sector(coeffs, users, keep, fire, spectator: complex) -> SectorState:
-    """Apply every step to sum_m coeffs[m] |particle m excited> at once.
+def evolve_sector(spec: WPrimeSpec, keep, fire, spectator: complex = 1.0) -> SectorState:
+    """Apply every step to sum_m c_m |particle m excited> at once.
 
-    Step t couples particle users[t] (distinct parties) to mode t, which
-    starts empty. In the single-excitation sector it multiplies every ket
-    by its spectator phase and, relative to that phase, sends
-    |particle users[t] excited> to keep[t] times itself plus fire[t] times
-    |mode t excited>. spectator is the product of the N-1 spectator phases,
-    the phase of a ket no step acts on; it multiplies every amplitude once.
+    Step t couples particle acting_parties(spec)[t] to mode t, which starts
+    empty. In the single-excitation sector it multiplies every ket by its
+    spectator phase and, relative to that phase, sends |particle excited>
+    to keep[t] times itself plus fire[t] times |mode t excited>. spectator
+    is the product of the N-1 spectator phases, the phase of a ket no step
+    acts on; it multiplies every amplitude once. Either scheme's step
+    function (ancilla_steps, jc_steps) gives the entries.
     """
-    particles = np.array(coeffs, dtype=np.complex128)
+    users = acting_parties(spec)
+    particles = spec.coeffs.copy()
     acting = particles[users]
     particles[users] = keep * acting
     amps = np.concatenate((particles, fire * acting))
     if spectator != 1.0:
         amps *= spectator
     amps.setflags(write=False)
-    return SectorState(len(particles), amps)
-
-
-def evolved_joint_state(spec: WPrimeSpec) -> tuple[SectorState, np.ndarray]:
-    """Particles + ancillas after every ancilla step, before measurement.
-
-    Returns (state, acting parties in measurement order): ancilla t belongs
-    to party users[t]. Shared by the exact runner and the trajectory sampler.
-    """
-    users = acting_parties(spec)
-    keep, fire = ancilla_steps(spec)
-    return evolve_sector(spec.coeffs, users, keep, fire, 1.0), users
+    return SectorState(spec.n, amps)
 
 
 def zero_prefix_weights(state: SectorState) -> np.ndarray:
@@ -260,32 +251,36 @@ def fidelity(x: np.ndarray, y: np.ndarray) -> float:
     return abs(complex(np.sum(np.conj(x) * y))) ** 2
 
 
+def _check(what: str, value: float, target: float, tol: float) -> None:
+    """Raise ToleranceError unless |value - target| <= tol; a NaN fails."""
+    if not abs(value - target) <= tol:
+        raise ToleranceError(f"{what} {value!r} is not {target!r} within {tol}")
+
+
 def distill(spec: WPrimeSpec, state: SectorState, phases: np.ndarray) -> DistillationReport:
     """Post-select an evolved state on every mode reading 0, then
     phase-correct it by the ledger phases (entry m: particle m's residual
     phase); shared by both realizations.
 
-    Cross-checks the branch sum, the success probability against the closed
-    form and the output against the uniform W state; raises ToleranceError
-    on any breach.
+    Cross-checks the branch sum, the success probability and each failure
+    row (party k's mode firing) against their closed forms, and the output
+    against the uniform W state; raises ToleranceError on any breach.
     """
     fire, success_prob, success_particles = measure_all_branches(state)
-
-    total = success_prob + float(np.sum(fire))
-    if abs(total - 1.0) > PROB_MATCH_TOL:
-        raise ToleranceError(f"branch probabilities sum to {total!r}, not 1")
+    _check("branch probability sum", success_prob + float(np.sum(fire)), 1.0, PROB_MATCH_TOL)
     analytic = analytic_success_probability(spec)
-    if abs(success_prob - analytic) > PROB_MATCH_TOL:
-        raise ToleranceError(
-            f"simulated success probability {success_prob!r} deviates from analytic {analytic!r}"
-        )
+    _check("success probability", success_prob, analytic, PROB_MATCH_TOL)
+    # party k's mode fires with (|c_k|^2 - min|c_i|^2) / sum|c_i|^2
+    mags_sq = np.hypot(spec.coeffs.real, spec.coeffs.imag) ** 2
+    closed = (mags_sq[acting_parties(spec)] - spec.min_magnitude**2) / mags_sq.sum()
+    t = int(np.argmax(np.abs(fire - closed)))  # argmax stops at the first NaN
+    _check(f"mode {t} firing probability", float(fire[t]), float(closed[t]), PROB_MATCH_TOL)
     if success_particles is None:
         raise ToleranceError("success branch has zero probability for a valid specification")
 
     final_state = phase_correction(success_particles, phases)
     fid = fidelity(final_state, make_w_state(spec.n))
-    if abs(fid - 1.0) > FIDELITY_TOL:
-        raise ToleranceError(f"corrected output fidelity {fid!r} is not 1 within {FIDELITY_TOL}")
+    _check("corrected output fidelity", fid, 1.0, FIDELITY_TOL)
     return DistillationReport(
         success_probability_exact=success_prob,
         success_probability_analytic=analytic,
@@ -305,4 +300,4 @@ def run_exact(spec: WPrimeSpec) -> DistillationReport:
     phases = np.zeros(spec.n)
     j = spec.min_index
     phases[j] = cmath.phase(spec.coeffs[j])
-    return distill(spec, evolved_joint_state(spec)[0], phases)
+    return distill(spec, evolve_sector(spec, *ancilla_steps(spec)), phases)

@@ -12,14 +12,15 @@ import math
 
 import numpy as np
 
-from wdistill.cavity import evolved_physical_state
+from wdistill.cavity import jc_steps
 from wdistill.errors import ToleranceError
 from wdistill.montecarlo import TrialConfig, TrialStats
 from wdistill.protocol import (
     SectorState,
     WPrimeSpec,
     analytic_success_probability,
-    evolved_joint_state,
+    ancilla_steps,
+    evolve_sector,
     zero_prefix_weights,
 )
 
@@ -56,8 +57,8 @@ def zero_prefix_cdfs(spec: WPrimeSpec, model: JCModel | None = None) -> np.ndarr
     abstract one when model is None, else the cavity one with
     model.fock_cutoff + 1 outcomes per mode."""
     if model is None:
-        return _zero_prefix_cdfs(evolved_joint_state(spec)[0], 2)
-    return _zero_prefix_cdfs(evolved_physical_state(spec, model.params)[0], model.fock_cutoff + 1)
+        return _zero_prefix_cdfs(evolve_sector(spec, *ancilla_steps(spec)), 2)
+    return _zero_prefix_cdfs(evolve_sector(spec, *jc_steps(spec, model.params)[1:]), model.fock_cutoff + 1)
 
 
 def trial_uniforms(seed: int, trials: int, draws: int) -> np.ndarray:

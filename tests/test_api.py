@@ -41,6 +41,10 @@ REMOVED = (
     "is_resonant",
     "fock_cutoff",
     "scheme",
+    # a scheme is its step function (ancilla_steps, jc_steps); evolve_sector
+    # turns either one's entries into the evolved state
+    "evolved_joint_state",
+    "evolved_physical_state",
 )
 # dense state-vector names: the package runs in the single-excitation sector,
 # and these live on only as the test oracle in tests/support
@@ -81,6 +85,11 @@ def test_sector_state_has_no_mode_dimension():
     # the sector gives every mode's detection two outcomes, whatever the cutoff
     assert [f.name for f in dataclasses.fields(protocol.SectorState)] == ["n", "amps"]
     assert "mode_dim" not in inspect.signature(protocol.evolve_sector).parameters
+
+
+def test_evolve_sector_takes_the_spec_and_step_entries():
+    params = list(inspect.signature(protocol.evolve_sector).parameters)
+    assert params == ["spec", "keep", "fire", "spectator"]
 
 
 @pytest.mark.parametrize("name", DENSE)

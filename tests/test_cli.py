@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ from conftest import random_spec
 from wdistill.cli import main, render_report
 from wdistill.protocol import FIDELITY_TOL
 
+RANDOM64 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "random64.json")
 WORKED_FILE = {"coefficients": [[0.70710678, 0], [0.54772256, 0], [0.44721360, 0]]}
 
 
@@ -29,6 +31,13 @@ def write_spec(tmp_path, doc, name="s.json"):
 def run_cli(capsys, *argv) -> tuple[int, str]:
     code = main(list(argv))
     return code, capsys.readouterr().out
+
+
+def tiny_coupling(epsilon: float, omega: float = 50.0) -> str:
+    return (
+        f"coupling epsilon = {epsilon!r} with omega = {omega!r} gives interaction "
+        "times dt or a Ramsey angle omega * sum(dt) beyond the double range"
+    )
 
 
 def random_spec_file(tmp_path, n: int, seed: int) -> tuple[str, tuple[complex, ...]]:
@@ -170,12 +179,33 @@ class TestCavity:
             # both flags invalid: the coupling is named, as JCParams checks it first
             (["cavity", "--epsilon", "0", "--fock", "0"], "coupling epsilon must be > 0, got 0.0"),
             (["cavity", "--epsilon", "nan", "--fock", "0"], "epsilon must be finite"),
+            # the abstract scheme reads no JC flag, but sample validates them all
+            (["sample", "--epsilon", "nan", "--fock", "0"], "epsilon must be finite"),
+            (["sample", "--epsilon", "0"], "coupling epsilon must be > 0, got 0.0"),
+            (["sample", "--fock", "0"], "fock_cutoff must be >= 1, got 0"),
+            # couplings so small that an interaction time or omega * sum(dt) overflows
+            (
+                ["sample", "--scheme", "cavity", "--trials", "1000", "--epsilon", "5e-324"],
+                tiny_coupling(5e-324),
+            ),
+            (["cavity", "--epsilon", "5e-324"], tiny_coupling(5e-324)),
+            (["cavity", "--epsilon", "1e-308"], tiny_coupling(1e-308)),
+            (["cavity", "--epsilon", "1e-300", "--omega", "1e9"], tiny_coupling(1e-300, 1e9)),
+            # each dt is finite, their sum is not
+            (["cavity", "--epsilon", "5e-309"], tiny_coupling(5e-309)),
+            (["sample", "--scheme", "cavity", "--epsilon", "5e-309"], tiny_coupling(5e-309)),
         ],
     )
     def test_bad_jc_flags_exit_2(self, capsys, worked_path, argv, message):
-        # JCParams checks --epsilon and --omega, then the CLI checks --fock
+        # JCParams checks --epsilon and --omega, then the CLI checks --fock;
+        # jc_steps checks the interaction times they give
         assert main([argv[0], worked_path, *argv[1:]]) == 2
         assert capsys.readouterr().err == f"wdistill: invalid input: {message}\n"
+
+    def test_ramsey_angle_overflow_over_many_parties_exits_2(self, capsys):
+        # 63 passes of dt ~ 1e300 each: omega * sum(dt) overflows at omega = 1e8
+        assert main(["cavity", RANDOM64, "--epsilon", "1e-300", "--omega", "1e8"]) == 2
+        assert capsys.readouterr().err == f"wdistill: invalid input: {tiny_coupling(1e-300, 1e8)}\n"
 
     def test_probabilities_independent_of_omega(self, capsys, worked_path):
         _, out_a = run_cli(capsys, "cavity", worked_path, "--omega", "50")
@@ -354,6 +384,12 @@ class TestIngestRange:
         path.write_bytes(b'{"coefficients": [[1, 0], [0, 1]]}\xff')
         assert main(["distill", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"wdistill: invalid spec: {path} is not valid UTF-8: ")
+
+    def test_deep_nesting_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"coefficients": ' + "[" * 10**5 + "]" * 10**5 + "}", encoding="utf-8")
+        assert main(["distill", str(path)]) == 2
+        assert capsys.readouterr().err == f"wdistill: invalid spec: {path} nests JSON too deeply to parse\n"
 
     def test_zero_message_only_for_an_all_zero_file(self, capsys, tmp_path):
         path = write_spec(tmp_path, {"coefficients": [[0, 0], [0.0, -0.0]], "normalize": True})

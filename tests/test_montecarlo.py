@@ -11,9 +11,9 @@ from support.sampler import trial_uniforms
 from support.statevec import project_site, site_distribution
 from support.steps import JCModel
 from wdistill import montecarlo
-from wdistill.cavity import JCParams, evolved_physical_state
+from wdistill.cavity import JCParams, jc_steps
 from wdistill.cli import _branch_rows, load_spec
-from wdistill.errors import ValidationError
+from wdistill.errors import ToleranceError, ValidationError
 from wdistill.montecarlo import (
     TrialConfig,
     TrialStats,
@@ -21,7 +21,7 @@ from wdistill.montecarlo import (
     confidence_interval,
     run_trials,
 )
-from wdistill.protocol import WPrimeSpec, evolved_joint_state, run_exact
+from wdistill.protocol import SectorState, WPrimeSpec, ancilla_steps, evolve_sector, run_exact
 
 NEAR_TIE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "near_tie.json")
 
@@ -199,8 +199,8 @@ def _config(trials: int, seed: int, fock: int | None) -> TrialConfig:
 
 def _state(spec: WPrimeSpec, fock: int | None):
     if fock is None:
-        return evolved_joint_state(spec)[0]
-    return evolved_physical_state(spec, _model(fock).params)[0]
+        return evolve_sector(spec, *ancilla_steps(spec))
+    return evolve_sector(spec, *jc_steps(spec, _model(fock).params)[1:])
 
 
 def _cdfs(spec: WPrimeSpec, fock: int | None) -> np.ndarray:
@@ -241,6 +241,15 @@ class TestStreaming:
                     continue
                 inverse_cdf_zero = np.searchsorted(cdf, k * 2.0**-53, side="right") == 0
                 assert (np.uint64(k) < limit) == inverse_cdf_zero, (cdf, k)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_limits_reject_a_non_finite_weight(self, bad):
+        # a NaN limit would cast to some uint64 and the sampler would run on it
+        state = _state(STREAMING_SPECS["random8"], None)
+        amps = state.amps.copy()
+        amps[state.n + 2] = complex(bad, 0.0)
+        with pytest.raises(ToleranceError, match=f"state weight {bad!r} is not finite"):
+            _zero_limits(SectorState(state.n, amps))
 
     def test_tally_compares_the_draw_with_the_limit(self):
         # trial 0's first draw k sits exactly on the limit: k < k reads 1,

@@ -9,13 +9,17 @@ from support import branch_rows, dense
 from support.linalg import is_unitary
 from support.statevec import StateVector, apply_local
 from support.steps import ANCILLA_PAIR, ANCILLA_VAC, build_step_unitary, leaked_entries, plan
-from wdistill.errors import DegenerateCoefficientError, SpecError, ValidationError
+from wdistill.errors import DegenerateCoefficientError, SpecError, ToleranceError, ValidationError
 from wdistill.protocol import (
+    FIDELITY_TOL,
+    PROB_MATCH_TOL,
+    SectorState,
     WPrimeSpec,
     acting_parties,
     analytic_success_probability,
+    ancilla_steps,
+    distill,
     evolve_sector,
-    evolved_joint_state,
     fidelity,
     make_w_state,
     min_coefficient_index,
@@ -320,7 +324,7 @@ class TestRunExact:
             assert np.max(np.abs(psi - dense.evolved_joint_state(spec)[0].amps)) < 1e-13
             # sector entry s (particles, then ancillas in step order) is the
             # amplitude of the ket with site s alone excited
-            state, _ = evolved_joint_state(spec)
+            state = evolve_sector(spec, *ancilla_steps(spec))
             one_hot = [1 << (n_sites - 1 - s) for s in range(n_sites)]
             assert np.max(np.abs(psi[one_hot] - state.amps)) < 1e-13
             assert np.max(np.abs(np.delete(psi, one_hot))) < 1e-13
@@ -360,20 +364,19 @@ def sector_step(phase: complex, block: np.ndarray, corner: complex = 1.0) -> np.
 
 class TestEvolveSector:
     def test_running_phase_matches_per_step_update(self):
+        # steps act on the acting parties in ascending order, as in both schemes
         rng = np.random.default_rng(12)
         for _ in range(10):
-            n = int(rng.integers(2, 9))
-            coeffs = rng.normal(size=n) + 1j * rng.normal(size=n)
+            spec = random_spec(rng, int(rng.integers(2, 9)))
             steps = []
-            for k in rng.permutation(n)[: n - 1]:
+            for k in acting_parties(spec).tolist():
                 block = random_unitary(rng, 2)
-                steps.append((int(k), sector_step(np.exp(1j * rng.uniform(0, 7)), block, rng.normal())))
-            users = [k for k, _ in steps]
+                steps.append((k, sector_step(np.exp(1j * rng.uniform(0, 7)), block, rng.normal())))
             u = np.array([m for _, m in steps])
             phases = u[:, 0, 0]
             keep, fire = u[:, 1, 1] / phases, u[:, 2, 1] / phases
-            state = evolve_sector(coeffs, users, keep, fire, np.prod(phases))
-            assert np.max(np.abs(state.amps - naive_sector_evolution(coeffs, steps))) <= 1e-14
+            state = evolve_sector(spec, keep, fire, np.prod(phases))
+            assert np.max(np.abs(state.amps - naive_sector_evolution(spec.coeffs, steps))) <= 1e-14
 
     @pytest.mark.parametrize("entry", [(0, 1), (3, 1), (2, 0), (1, 3), (0, 3)])
     def test_rejects_any_coupling_out_of_the_sector(self, entry):
@@ -388,9 +391,40 @@ class TestEvolveSector:
         rng = np.random.default_rng(13)
         for _ in range(10):
             spec = random_spec(rng, int(rng.integers(2, 8)))
-            state, users = evolved_joint_state(spec)
-            assert users.tolist() == [s.k for s in plan(spec)] == acting_parties(spec).tolist()
+            state = evolve_sector(spec, *ancilla_steps(spec))
+            assert [s.k for s in plan(spec)] == acting_parties(spec).tolist()
             assert state.amps.shape == (2 * spec.n - 1,)
+
+
+class TestDistillChecks:
+    """distill's cross-checks on hand-built inputs: a NaN fails each of them."""
+
+    # real positive coefficients: the ledger is all zeros
+    SPEC = WPrimeSpec([math.sqrt(0.5), math.sqrt(0.3), math.sqrt(0.2)])
+
+    def test_nan_ledger_fails_the_fidelity_check(self):
+        state = evolve_sector(self.SPEC, *ancilla_steps(self.SPEC))
+        phases = np.array([0.0, math.nan, 0.0])
+        message = rf"^corrected output fidelity nan is not 1\.0 within {FIDELITY_TOL}$"
+        with pytest.raises(ToleranceError, match=message):
+            distill(self.SPEC, state, phases)
+
+    def test_swapped_mode_amplitudes_fail_the_row_check(self):
+        # the swap keeps the branch sum and the success probability, but then
+        # the modes of parties 0 and 1 fire with 0.1 and 0.3, not 0.3 and 0.1
+        amps = evolve_sector(self.SPEC, *ancilla_steps(self.SPEC)).amps.copy()
+        n = self.SPEC.n
+        amps[n], amps[n + 1] = amps[n + 1], amps[n]
+        message = rf"^mode 0 firing probability 0\.09\d* is not 0\.30\d* within {PROB_MATCH_TOL}$"
+        with pytest.raises(ToleranceError, match=message):
+            distill(self.SPEC, SectorState(n, amps), np.zeros(3))
+
+    def test_nan_amplitude_fails_the_branch_sum(self):
+        amps = evolve_sector(self.SPEC, *ancilla_steps(self.SPEC)).amps.copy()
+        amps[0] = complex(math.nan, 0.0)
+        message = rf"^branch probability sum nan is not 1\.0 within {PROB_MATCH_TOL}$"
+        with pytest.raises(ToleranceError, match=message):
+            distill(self.SPEC, SectorState(self.SPEC.n, amps), np.zeros(3))
 
 
 class TestPhaseCorrection:
