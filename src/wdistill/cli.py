@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from itertools import chain
 
 import numpy as np
@@ -27,7 +28,8 @@ EXIT_BAD_SPEC = 2
 EXIT_NUMERICAL = 3
 
 # 2: `branches` lists only the patterns with nonzero probability
-REPORT_SCHEMA = 2
+# 3: a row per outcome names the party whose mode fired; jc_params is {epsilon, omega}
+REPORT_SCHEMA = 3
 FILE_NORM_TOL = 1e-6
 WILSON_Z = 1.96
 
@@ -159,32 +161,23 @@ def load_spec(path: str, allow_unnormalized: bool = False) -> tuple[WPrimeSpec, 
 # ---------------------------------------------------------------------------
 # report assembly
 
+def _outcome_rows(key: str, success, per_mode, min_index: int) -> list[dict]:
+    """One row per outcome with a nonzero value: success ("fired": null), then
+    each mode that fired, named by its party's 1-based index, ascending."""
+    modes = np.flatnonzero(per_mode)
+    parties = (modes + 1 + (modes >= min_index)).tolist()
+    rows = [{"fired": None, key: success}] if success else []
+    return rows + [{"fired": k, key: v} for k, v in zip(parties, np.asarray(per_mode)[modes].tolist())]
+
+
 def _branch_rows(report: DistillationReport) -> list[dict]:
-    """The reachable outcome patterns in lexicographic order: success
-    (every mode reads 0), then each mode that can fire, the last first."""
     fire = report.fire_probabilities
-    n_modes = len(fire)
-    rows = [
-        {
-            "pattern": "0" * n_modes,
-            "probability": report.success_probability_exact,
-            "description": "success: particles carry the distilled state",
-        }
-    ]
-    failure = f"failure: particles collapsed to |{'0' * (n_modes + 1)}>"
-    for t in np.flatnonzero(fire)[::-1].tolist():
-        rows.append(
-            {
-                "pattern": "0" * t + "1" + "0" * (n_modes - t - 1),
-                "probability": float(fire[t]),
-                "description": failure,
-            }
-        )
-    return rows
+    return _outcome_rows("probability", report.success_probability_exact, fire, report.min_index)
 
 
 def _base_report(spec: WPrimeSpec, factor: float, scheme: str) -> dict:
     return {
+        "report_schema": REPORT_SCHEMA,
         "tool_version": __version__,
         "scheme": scheme,
         "n": spec.n,
@@ -196,7 +189,6 @@ def _exact_report(spec: WPrimeSpec, factor: float, scheme: str, report: Distilla
     doc = _base_report(spec, factor, scheme)
     doc.update(
         {
-            "report_schema": REPORT_SCHEMA,
             "min_index": report.min_index + 1,
             "success_probability_analytic": report.success_probability_analytic,
             "success_probability_exact": report.success_probability_exact,
@@ -207,15 +199,13 @@ def _exact_report(spec: WPrimeSpec, factor: float, scheme: str, report: Distilla
     return doc
 
 
-def _jc_params(args) -> tuple[JCParams, dict]:
-    """JC parameters from the flags, and the report's jc_params echo of them."""
+def _jc_params(args) -> JCParams:
+    """JC parameters from the flags. The Fock cutoff changes no result (a
+    cavity never holds two photons), so --fock is only validated."""
     params = JCParams(omega=args.omega, epsilon=args.epsilon)
-    # the cutoff changes no result (a cavity never holds two photons); schema 2
-    # still validates and echoes it, with omega0 = omega, until schema 3
     if args.fock < 1:
         raise ValidationError(f"fock_cutoff must be >= 1, got {args.fock}")
-    w = params.omega
-    return params, {"epsilon": params.epsilon, "fock_cutoff": args.fock, "omega": w, "omega0": w}
+    return params
 
 
 def cmd_distill(args) -> int:
@@ -226,11 +216,11 @@ def cmd_distill(args) -> int:
 
 
 def cmd_cavity(args) -> int:
-    params, jc_echo = _jc_params(args)
+    params = _jc_params(args)
     spec, factor = load_spec(args.spec_path, args.allow_unnormalized)
     report = run_physical(spec, params)
     doc = _exact_report(spec, factor, "cavity", report)
-    doc["jc_params"] = jc_echo
+    doc["jc_params"] = asdict(params)
     users = (acting_parties(spec) + 1).tolist()
     doc["steps"] = [{"user": k, "delta_t": t} for k, t in zip(users, report.cavity_steps.tolist())]
     _emit(render_report(doc), args.out)
@@ -244,7 +234,7 @@ def cmd_sample(args) -> int:
         raise UsageError("--seed must be a 64-bit unsigned integer")
     spec, factor = load_spec(args.spec_path, args.allow_unnormalized)
     # the JC flags are validated under either scheme, and read by the cavity one
-    params, jc_echo = _jc_params(args)
+    params = _jc_params(args)
     cavity = args.scheme == "cavity"
     config = TrialConfig(trials=args.trials, seed=args.seed, params=params if cavity else None)
     stats = run_trials(spec, config)
@@ -261,11 +251,11 @@ def cmd_sample(args) -> int:
             "z_score": stats.z_score,
             "wilson_z": WILSON_Z,
             "wilson_interval": [lo, hi],
-            "histogram": stats.outcome_histogram,
+            "histogram": _outcome_rows("count", stats.successes, stats.fired, spec.min_index),
         }
     )
     if cavity:
-        doc["jc_params"] = jc_echo
+        doc["jc_params"] = asdict(params)
     _emit(render_report(doc), args.out)
     return EXIT_OK
 

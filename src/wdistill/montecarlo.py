@@ -68,7 +68,8 @@ class TrialStats:
     analytic_p: float
     std_error: float
     z_score: float
-    outcome_histogram: dict[str, int]
+    # entry t: the trials whose first failure was mode t, modes in measurement order
+    fired: tuple[int, ...]
     seed: int
 
 
@@ -134,21 +135,11 @@ def _tally(seed: int, trials: int, limits: np.ndarray) -> tuple[int, np.ndarray]
 
 
 def run_trials(spec: WPrimeSpec, config: TrialConfig) -> TrialStats:
-    """Sample config.trials runs of the protocol and tally the outcomes.
-
-    Deterministic given (spec, config). The histogram keys are the measured
-    outcome patterns, truncated at the first failing position ("01" means
-    the first site read 0 and the second read 1); the all-zero key is the
-    success pattern.
-    """
+    """Sample config.trials runs of the protocol, deterministic given (spec,
+    config): the successes, and per mode the trials in which it fired."""
     steps = ancilla_steps(spec) if config.params is None else jc_steps(spec, config.params)[1:]
     limits = _zero_limits(evolve_sector(spec, *steps))
     successes, fired = _tally(config.seed, config.trials, limits)
-
-    histogram = {"0" * t + "1": int(count) for t, count in enumerate(fired) if count}
-    if successes:
-        histogram["0" * len(limits)] = successes
-    histogram = dict(sorted(histogram.items()))
 
     empirical = successes / config.trials
     analytic = analytic_success_probability(spec)
@@ -166,7 +157,7 @@ def run_trials(spec: WPrimeSpec, config: TrialConfig) -> TrialStats:
         analytic_p=analytic,
         std_error=std_error,
         z_score=z,
-        outcome_histogram=histogram,
+        fired=tuple(fired.tolist()),
         seed=config.seed,
     )
 

@@ -268,11 +268,13 @@ def distill(spec: WPrimeSpec, state: SectorState, phases: np.ndarray) -> Distill
     """
     fire, success_prob, success_particles = measure_all_branches(state)
     _check("branch probability sum", success_prob + float(np.sum(fire)), 1.0, PROB_MATCH_TOL)
+    # success has N min|c_i|^2 / sum|c_i|^2, and party k's mode fires with
+    # (|c_k|^2 - min|c_i|^2) / sum|c_i|^2: a spec may be off norm by 1e-9
     analytic = analytic_success_probability(spec)
-    _check("success probability", success_prob, analytic, PROB_MATCH_TOL)
-    # party k's mode fires with (|c_k|^2 - min|c_i|^2) / sum|c_i|^2
     mags_sq = np.hypot(spec.coeffs.real, spec.coeffs.imag) ** 2
-    closed = (mags_sq[acting_parties(spec)] - spec.min_magnitude**2) / mags_sq.sum()
+    norm_sq = mags_sq.sum()
+    _check("success probability", success_prob, analytic / norm_sq, PROB_MATCH_TOL)
+    closed = (mags_sq[acting_parties(spec)] - spec.min_magnitude**2) / norm_sq
     t = int(np.argmax(np.abs(fire - closed)))  # argmax stops at the first NaN
     _check(f"mode {t} firing probability", float(fire[t]), float(closed[t]), PROB_MATCH_TOL)
     if success_particles is None:

@@ -3,7 +3,7 @@
 It draws the whole trials x (N-1) matrix of uniforms up front, takes each
 outcome as the inverse CDF of its uniform (the first index whose cumulative
 probability exceeds u, clamped to the last outcome in case the CDF rounds
-below 1) and tallies the truncated patterns with np.unique. Same
+below 1) and counts each trial's first failing mode. Same
 SplitMix64 stream and the same conditional CDFs as wdistill.montecarlo.
 """
 from __future__ import annotations
@@ -94,19 +94,8 @@ def run_trials(spec: WPrimeSpec, config: TrialConfig, model: JCModel | None = No
     failed = outcomes != 0
     any_fail = failed.any(axis=1)
     successes = int(config.trials - any_fail.sum())
-
-    histogram: dict[str, int] = {}
-    if successes:
-        histogram["0" * n_steps] = successes
-    if any_fail.any():
-        first = failed[any_fail].argmax(axis=1)
-        digit = outcomes[any_fail, first]
-        max_dim = int(outcomes.max()) + 1
-        codes, counts = np.unique(first * max_dim + digit, return_counts=True)
-        for code, count in zip(codes, counts):
-            t, d = divmod(int(code), max_dim)
-            histogram["0" * t + str(d)] = int(count)
-    histogram = dict(sorted(histogram.items()))
+    # any nonzero outcome is a failure of its mode, whatever its digit
+    fired = np.bincount(failed[any_fail].argmax(axis=1), minlength=n_steps)
 
     empirical = successes / config.trials
     analytic = analytic_success_probability(spec)
@@ -124,6 +113,6 @@ def run_trials(spec: WPrimeSpec, config: TrialConfig, model: JCModel | None = No
         analytic_p=analytic,
         std_error=std_error,
         z_score=z,
-        outcome_histogram=histogram,
+        fired=tuple(int(c) for c in fired),
         seed=config.seed,
     )

@@ -159,10 +159,11 @@ def test_criterion_7_monte_carlo_concordance():
     stats = run_trials(spec, TrialConfig(trials=trials, seed=42))
     if abs(stats.empirical_p - 0.6) > 4 * math.sqrt(0.6 * 0.4 / trials):
         failures.append(f"empirical {stats.empirical_p!r} outside the 4-sigma band around 0.6")
-    for pattern, p in (("1", 0.3), ("01", 0.1)):
-        freq = stats.outcome_histogram.get(pattern, 0) / trials
+    # modes in measurement order: parties 1 and 2 act, party 3 is minimal
+    for mode, p in ((0, 0.3), (1, 0.1)):
+        freq = stats.fired[mode] / trials
         if abs(freq - p) > 5 * math.sqrt(p * (1 - p) / trials):
-            failures.append(f"branch {pattern}: frequency {freq!r} vs {p}")
+            failures.append(f"mode {mode} fired: frequency {freq!r} vs {p}")
     elapsed = time.perf_counter() - start
     if elapsed >= 30.0:
         failures.append(f"runtime {elapsed:.2f}s exceeds 30s")

@@ -45,6 +45,8 @@ REMOVED = (
     # turns either one's entries into the evolved state
     "evolved_joint_state",
     "evolved_physical_state",
+    # report schema 3: a sample run counts the failures of each mode (TrialStats.fired)
+    "outcome_histogram",
 )
 # dense state-vector names: the package runs in the single-excitation sector,
 # and these live on only as the test oracle in tests/support
@@ -69,7 +71,8 @@ def test_every_exported_name_resolves():
 @pytest.mark.parametrize("name", REMOVED)
 def test_removed_name_is_gone(name):
     assert name not in wdistill.__all__
-    for owner in (*MODULES, protocol.WPrimeSpec, cavity.JCParams, montecarlo.TrialConfig):
+    owners = (protocol.WPrimeSpec, cavity.JCParams, montecarlo.TrialConfig, montecarlo.TrialStats)
+    for owner in (*MODULES, *owners):
         assert not hasattr(owner, name), f"{owner.__name__}.{name}"
         # a dataclass field without a default is no class attribute
         assert name not in getattr(owner, "__dataclass_fields__", {}), f"{owner.__name__}.{name}"

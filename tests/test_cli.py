@@ -11,7 +11,8 @@ from conftest import random_spec
 from wdistill.cli import main, render_report
 from wdistill.protocol import FIDELITY_TOL
 
-RANDOM64 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "random64.json")
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+RANDOM64 = os.path.join(GOLDEN, "random64.json")
 WORKED_FILE = {"coefficients": [[0.70710678, 0], [0.54772256, 0], [0.44721360, 0]]}
 
 
@@ -69,17 +70,19 @@ class TestDistill:
         assert doc["n"] == 3
         assert doc["min_index"] == 3
         assert doc["scheme"] == "abstract"
-        assert doc["report_schema"] == 2
+        assert doc["report_schema"] == 3
         assert doc["success_probability_analytic"] == pytest.approx(0.6, abs=1e-7)
         assert doc["success_probability_exact"] == pytest.approx(
             doc["success_probability_analytic"], abs=1e-10
         )
         assert doc["fidelity_with_w"] == pytest.approx(1.0, abs=1e-12)
-        patterns = {b["pattern"]: b["probability"] for b in doc["branches"]}
-        assert patterns["10"] == pytest.approx(0.3, abs=1e-7)
-        assert patterns["01"] == pytest.approx(0.1, abs=1e-7)
-        # only reachable patterns are listed, in lexicographic order
-        assert [b["pattern"] for b in doc["branches"]] == ["00", "01", "10"]
+        fired = {b["fired"]: b["probability"] for b in doc["branches"]}
+        assert fired[None] == doc["success_probability_exact"]
+        assert fired[1] == pytest.approx(0.3, abs=1e-7)
+        assert fired[2] == pytest.approx(0.1, abs=1e-7)
+        # one row per reachable outcome: success, then the fired parties ascending
+        assert [b["fired"] for b in doc["branches"]] == [None, 1, 2]
+        assert all(b.keys() == {"fired", "probability"} for b in doc["branches"])
 
     def test_zero_coefficient_exits_2(self, capsys, tmp_path):
         path = write_spec(tmp_path, {"coefficients": [[1, 0], [0, 0]]})
@@ -157,7 +160,8 @@ class TestCavity:
         assert code == 0
         doc = json.loads(out)
         assert doc["scheme"] == "cavity"
-        assert doc["jc_params"] == {"omega": 50.0, "omega0": 50.0, "epsilon": 1.0, "fock_cutoff": 1}
+        assert doc["report_schema"] == 3
+        assert doc["jc_params"] == {"omega": 50.0, "epsilon": 1.0}
         dts = [s["delta_t"] for s in doc["steps"]]
         assert [s["user"] for s in doc["steps"]] == [1, 2]
         assert dts[0] == pytest.approx(0.8860771, abs=1e-6)
@@ -215,9 +219,17 @@ class TestCavity:
             doc_b["success_probability_exact"], abs=1e-12
         )
         for ba, bb in zip(doc_a["branches"], doc_b["branches"]):
-            assert ba["pattern"] == bb["pattern"]
+            assert ba["fired"] == bb["fired"]
             assert ba["probability"] == pytest.approx(bb["probability"], abs=1e-12)
         assert doc_a["steps"] == doc_b["steps"]  # interaction times carry no omega
+
+    @pytest.mark.parametrize("argv", [["cavity"], ["sample", "--scheme", "cavity"]])
+    def test_fock_cutoff_changes_no_byte(self, capsys, argv):
+        # a cavity never holds two photons: --fock is validated, and read by nothing
+        path = os.path.join(GOLDEN, "worked.json")
+        _, low = run_cli(capsys, argv[0], path, *argv[1:], "--fock", "1")
+        _, high = run_cli(capsys, argv[0], path, *argv[1:], "--fock", "7")
+        assert low and low == high
 
     def test_agrees_with_distill(self, capsys, worked_path):
         _, out_d = run_cli(capsys, "distill", worked_path)
@@ -237,13 +249,23 @@ class TestSample:
         assert abs(doc["empirical_p"] - 0.6) <= 4 * math.sqrt(0.6 * 0.4 / 100_000)
         lo, hi = doc["wilson_interval"]
         assert lo <= doc["empirical_p"] <= hi
-        assert sum(doc["histogram"].values()) == 100_000
+        assert doc["report_schema"] == 3
+        assert sum(row["count"] for row in doc["histogram"]) == 100_000
+        assert [row["fired"] for row in doc["histogram"]] == [None, 1, 2]
+        assert doc["histogram"][0]["count"] == doc["successes"]
         assert doc["seed"] == 42
 
     def test_single_trial(self, capsys, worked_path):
         code, out = run_cli(capsys, "sample", worked_path, "--trials", "1", "--seed", "0")
         assert code == 0
         assert json.loads(out)["empirical_p"] in (0.0, 1.0)
+
+    def test_histogram_lists_only_outcomes_that_occurred(self, capsys):
+        # one trial each: seed 1 fails at party 2's mode, seed 3 at party 1's
+        path = os.path.join(GOLDEN, "worked.json")
+        for seed, fired in ((0, None), (1, 2), (3, 1)):
+            _, out = run_cli(capsys, "sample", path, "--trials", "1", "--seed", str(seed))
+            assert json.loads(out)["histogram"] == [{"fired": fired, "count": 1}]
 
     def test_byte_identical_reruns(self, capsys, worked_path):
         args = ("sample", worked_path, "--trials", "5000", "--seed", "9")
@@ -259,7 +281,7 @@ class TestSample:
         assert code == 0
         doc = json.loads(out)
         assert doc["scheme"] == "cavity"
-        assert "jc_params" in doc
+        assert doc["jc_params"] == {"omega": 50.0, "epsilon": 1.0}
         assert abs(doc["empirical_p"] - 0.6) <= 4 * math.sqrt(0.6 * 0.4 / 20_000)
 
     def test_bad_trials_exits_1(self, worked_path):
@@ -335,6 +357,8 @@ class TestLargeN:
         doc = json.loads(out)
         # every party but the minimal one can fail, and success is reachable
         assert len(doc["branches"]) == n
+        # each outcome is one row of fixed size: the report is O(N)
+        assert len(out) < 256 * n
         analytic = n * min(abs(c) for c in coeffs) ** 2
         assert abs(doc["success_probability_exact"] - analytic) <= 1e-10
         assert abs(doc["fidelity_with_w"] - 1.0) <= 1e-12
@@ -344,7 +368,7 @@ class TestLargeN:
         path, _ = random_spec_file(tmp_path, 2000, seed=7)
         code, out = run_cli(capsys, "sample", path, "--trials", "100", "--scheme", scheme)
         assert code == 0
-        assert sum(json.loads(out)["histogram"].values()) == 100
+        assert sum(row["count"] for row in json.loads(out)["histogram"]) == 100
 
 
 class TestUnderflow:

@@ -88,7 +88,7 @@ class TestRunTrials:
         assert stats.successes == 2000
         assert stats.empirical_p == 1.0
         assert stats.z_score == 0.0
-        assert stats.outcome_histogram == {"000": 2000}
+        assert stats.fired == (0, 0, 0)
 
     def test_worked_spec_concentrates(self, worked_spec):
         stats = run_trials(worked_spec, TrialConfig(trials=100_000, seed=42))
@@ -102,24 +102,19 @@ class TestRunTrials:
 
     def test_histogram_sums_to_trials(self, worked_spec):
         stats = run_trials(worked_spec, TrialConfig(trials=12345, seed=11))
-        assert sum(stats.outcome_histogram.values()) == 12345
-        assert stats.successes == stats.outcome_histogram["00"]
+        assert len(stats.fired) == worked_spec.n - 1
+        assert stats.successes + sum(stats.fired) == 12345
 
     def test_histogram_matches_exact_branches(self, worked_spec):
         trials = 100_000
         stats = run_trials(worked_spec, TrialConfig(trials=trials, seed=5))
-        exact = {row["pattern"]: row["probability"] for row in _branch_rows(run_exact(worked_spec))}
-        # truncated patterns aggregate the full patterns extending them;
-        # zero-probability patterns are not listed
-        expected = {
-            "00": exact["00"],
-            "1": exact["10"] + exact.get("11", 0.0),
-            "01": exact["01"],
-        }
-        for pattern, p in expected.items():
-            count = stats.outcome_histogram.get(pattern, 0)
+        exact = {row["fired"]: row["probability"] for row in _branch_rows(run_exact(worked_spec))}
+        # the worked spec's minimal party is the last: mode t belongs to party t + 1
+        assert list(exact) == [None, 1, 2]
+        counts = {None: stats.successes, 1: stats.fired[0], 2: stats.fired[1]}
+        for fired, p in exact.items():
             se = math.sqrt(p * (1 - p) / trials)
-            assert abs(count / trials - p) <= 5 * se, pattern
+            assert abs(counts[fired] / trials - p) <= 5 * se, fired
 
     def test_early_stop_equivalence(self):
         rng = np.random.default_rng(8)
@@ -134,16 +129,12 @@ class TestRunTrials:
             if any(pattern):
                 first = next(i for i, o in enumerate(pattern) if o)
                 assert all(o == 0 for o in pattern[first + 1 :])
-        # truncated histogram matches the full walk exactly
-        truncated = {}
+        # the per-mode failure counts match the full walk exactly
+        fired = [0] * (spec.n - 1)
         for pattern in full:
             if any(pattern):
-                first = next(i for i, o in enumerate(pattern) if o)
-                key = "0" * first + str(pattern[first])
-            else:
-                key = "0" * (spec.n - 1)
-            truncated[key] = truncated.get(key, 0) + 1
-        assert truncated == stats.outcome_histogram
+                fired[next(i for i, o in enumerate(pattern) if o)] += 1
+        assert stats.fired == tuple(fired)
 
     def test_cavity_scheme_agrees_with_abstract(self, worked_spec):
         trials = 20_000
@@ -220,7 +211,6 @@ class TestStreaming:
             monkeypatch.setattr(montecarlo, "_CHUNK", chunk or trials)
             stats = run_trials(spec, config)
             assert stats == expected, chunk
-            assert list(stats.outcome_histogram) == list(expected.outcome_histogram)
 
     @pytest.mark.parametrize("fock", FOCK)
     @pytest.mark.parametrize("name", sorted(STREAMING_SPECS))
@@ -265,7 +255,7 @@ class TestStreaming:
         # where cdf[t, 1] rounds below 1, the largest draw u = 1 - 2^-53 lies
         # past it: the clamped inverse CDF reads digit fock, an outcome
         # outside the sector with probability 0; the integer rule reads it
-        # as a failure, which run_trials keys "0"*t + "1"
+        # as a failure, which run_trials counts in fired[t]
         u = 1.0 - 2.0**-53
         rounded = 0
         for fock in (2, 3):
@@ -304,7 +294,7 @@ class TestConfidenceInterval:
             analytic_p=p,
             std_error=math.sqrt(p * (1 - p) / trials),
             z_score=0.0,
-            outcome_histogram={},
+            fired=(),
             seed=0,
         )
 

@@ -9,6 +9,7 @@ from support import branch_rows, dense
 from support.linalg import is_unitary
 from support.statevec import StateVector, apply_local
 from support.steps import ANCILLA_PAIR, ANCILLA_VAC, build_step_unitary, leaked_entries, plan
+from wdistill.cavity import JCParams, run_physical
 from wdistill.errors import DegenerateCoefficientError, SpecError, ToleranceError, ValidationError
 from wdistill.protocol import (
     FIDELITY_TOL,
@@ -246,9 +247,12 @@ class TestRunExact:
         rng = np.random.default_rng(99)
         for _ in range(10):
             spec = random_spec(rng, int(rng.integers(2, 7)))
+            # the dense walk checks that every failure branch leaves the
+            # particles ground, and describes it so
+            described = {r.pattern: r.description for r in dense.run_exact(spec).branch_records}
             for p, row in branch_rows(run_exact(spec)).items():
                 if row["probability"] > 0 and any(p):
-                    assert "collapsed" in row["description"]
+                    assert "collapsed" in described[p]
 
     def test_probability_bounds_and_uniform_condition(self):
         rng = np.random.default_rng(31)
@@ -418,6 +422,24 @@ class TestDistillChecks:
         message = rf"^mode 0 firing probability 0\.09\d* is not 0\.30\d* within {PROB_MATCH_TOL}$"
         with pytest.raises(ToleranceError, match=message):
             distill(self.SPEC, SectorState(n, amps), np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "run", [run_exact, lambda spec: run_physical(spec, JCParams(50.0, 1.0))], ids=["exact", "physical"]
+    )
+    @pytest.mark.parametrize(
+        "coeffs,norm_sq",
+        [((1.0, 1.0), 1 + 9e-10), ((math.sqrt(0.5), 1j * math.sqrt(0.3), -math.sqrt(0.2)), 1 - 9e-10)],
+    )
+    def test_spec_off_norm_meets_every_check(self, run, coeffs, norm_sq):
+        # WPrimeSpec accepts sum|c_i|^2 up to 1e-9 off 1; the state's
+        # probabilities are normalized, so the checks divide by it too
+        coeffs = np.array(coeffs) * math.sqrt(norm_sq / sum(abs(c) ** 2 for c in coeffs))
+        spec = WPrimeSpec(coeffs)
+        report = run(spec)
+        analytic = spec.n * spec.min_magnitude**2
+        assert report.success_probability_analytic == analytic
+        assert abs(report.success_probability_exact - analytic / norm_sq) <= PROB_MATCH_TOL
+        assert abs(analytic - analytic / norm_sq) > PROB_MATCH_TOL
 
     def test_nan_amplitude_fails_the_branch_sum(self):
         amps = evolve_sector(self.SPEC, *ancilla_steps(self.SPEC)).amps.copy()
