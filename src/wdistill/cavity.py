@@ -27,13 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ValidationError
-from .protocol import (
-    DistillationReport,
-    WPrimeSpec,
-    acting_parties,
-    distill,
-    evolve_sector,
-)
+from .protocol import DistillationReport, WPrimeSpec, distill, evolve_sector
 
 
 @dataclass(frozen=True)
@@ -65,13 +59,12 @@ def jc_steps(
     sin(eps dt) to its cavity; spectator = e^{i w sum(dt)/2} is the product
     of every pass's |g,0> phase. dt_k = arccos(r_k) / eps with r_k =
     min|c_i| / |c_k|, and keep takes r_k for cos(eps dt_k): cos(arccos r)
-    errs by an ulp of 1, not of r. Arrays are in acting_parties order.
+    errs by an ulp of 1, not of r. Arrays are in spec.acting order.
     Raises ValidationError if a dt or w sum(dt) is not finite.
     """
-    c = spec.coeffs[acting_parties(spec)]
-    # hypot rounds |c_k| as abs() rounded min|c_i|, which np.abs need not:
-    # a party tied at the minimum gets ratio 1 and dt = 0 exactly
-    r = np.minimum(1.0, spec.min_magnitude / np.hypot(c.real, c.imag))
+    # |c_k| is rounded as min|c_i| was (spec.magnitudes): a party tied at
+    # the minimum gets ratio 1 and dt = 0 exactly
+    r = np.minimum(1.0, spec.min_magnitude / spec.magnitudes[spec.acting])
     # libm acos: np.arccos's SIMD path rounds some inputs differently (see run_physical)
     with np.errstate(over="ignore"):  # an overflowed dt is rejected below
         dt = np.fromiter(map(math.acos, r.tolist()), np.float64, len(r)) / params.epsilon
@@ -100,5 +93,5 @@ def run_physical(spec: WPrimeSpec, params: JCParams) -> DistillationReport:
     # cmath.phase, not np.angle: np.angle's SIMD path differs from atan2 by
     # an ulp on some inputs, which would make report bytes CPU-dependent
     phases = np.fromiter(map(cmath.phase, spec.coeffs.tolist()), np.float64, spec.n)
-    phases[acting_parties(spec)] -= params.omega * dt
+    phases[spec.acting] -= params.omega * dt
     return replace(distill(spec, evolve_sector(spec, *steps), phases), cavity_steps=dt)

@@ -20,7 +20,7 @@ from . import __version__
 from .cavity import JCParams, run_physical
 from .errors import SpecError, ToleranceError, ValidationError
 from .montecarlo import TrialConfig, confidence_interval, run_trials
-from .protocol import DistillationReport, WPrimeSpec, acting_parties, make_w_state, run_exact
+from .protocol import DistillationReport, WPrimeSpec, make_w_state, run_exact
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -161,18 +161,18 @@ def load_spec(path: str, allow_unnormalized: bool = False) -> tuple[WPrimeSpec, 
 # ---------------------------------------------------------------------------
 # report assembly
 
-def _outcome_rows(key: str, success, per_mode, min_index: int) -> list[dict]:
+def _outcome_rows(spec: WPrimeSpec, key: str, success, per_mode) -> list[dict]:
     """One row per outcome with a nonzero value: success ("fired": null), then
     each mode that fired, named by its party's 1-based index, ascending."""
     modes = np.flatnonzero(per_mode)
-    parties = (modes + 1 + (modes >= min_index)).tolist()
+    parties = (spec.acting[modes] + 1).tolist()
     rows = [{"fired": None, key: success}] if success else []
     return rows + [{"fired": k, key: v} for k, v in zip(parties, np.asarray(per_mode)[modes].tolist())]
 
 
-def _branch_rows(report: DistillationReport) -> list[dict]:
+def _branch_rows(spec: WPrimeSpec, report: DistillationReport) -> list[dict]:
     fire = report.fire_probabilities
-    return _outcome_rows("probability", report.success_probability_exact, fire, report.min_index)
+    return _outcome_rows(spec, "probability", report.success_probability_exact, fire)
 
 
 def _base_report(spec: WPrimeSpec, factor: float, scheme: str) -> dict:
@@ -189,11 +189,11 @@ def _exact_report(spec: WPrimeSpec, factor: float, scheme: str, report: Distilla
     doc = _base_report(spec, factor, scheme)
     doc.update(
         {
-            "min_index": report.min_index + 1,
+            "min_index": spec.min_index + 1,
             "success_probability_analytic": report.success_probability_analytic,
             "success_probability_exact": report.success_probability_exact,
             "fidelity_with_w": report.fidelity_with_w,
-            "branches": _branch_rows(report),
+            "branches": _branch_rows(spec, report),
         }
     )
     return doc
@@ -221,7 +221,7 @@ def cmd_cavity(args) -> int:
     report = run_physical(spec, params)
     doc = _exact_report(spec, factor, "cavity", report)
     doc["jc_params"] = asdict(params)
-    users = (acting_parties(spec) + 1).tolist()
+    users = (spec.acting + 1).tolist()
     doc["steps"] = [{"user": k, "delta_t": t} for k, t in zip(users, report.cavity_steps.tolist())]
     _emit(render_report(doc), args.out)
     return EXIT_OK
@@ -251,7 +251,7 @@ def cmd_sample(args) -> int:
             "z_score": stats.z_score,
             "wilson_z": WILSON_Z,
             "wilson_interval": [lo, hi],
-            "histogram": _outcome_rows("count", stats.successes, stats.fired, spec.min_index),
+            "histogram": _outcome_rows(spec, "count", stats.successes, stats.fired),
         }
     )
     if cavity:

@@ -12,11 +12,8 @@ class ValidationError(ValueError):
 
 
 class SpecError(ValidationError):
-    """The W' coefficient specification is invalid (normalization, arity)."""
-
-
-class DegenerateCoefficientError(SpecError):
-    """A coefficient is exactly zero; the distillation plan is undefined."""
+    """The W' coefficient specification is invalid (normalization, arity, a
+    zero or underflowing coefficient)."""
 
 
 class ToleranceError(ArithmeticError):

@@ -93,7 +93,7 @@ def _zero_limits(state: SectorState) -> np.ndarray:
     iff k < q_t * 2^53; for an integer k that is k < ceil(q_t * 2^53), a
     limit <= 2^53.
     """
-    remaining = zero_prefix_weights(state)
+    remaining = zero_prefix_weights(state)[1]
     # the weights are nonnegative partial sums: any NaN or inf reaches the total
     if not math.isfinite(remaining[0]):
         raise ToleranceError(f"state weight {float(remaining[0])!r} is not finite")

@@ -26,12 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateCoefficientError,
-    SpecError,
-    ToleranceError,
-    ValidationError,
-)
+from .errors import SpecError, ToleranceError, ValidationError
 
 MAG_TIE_TOL = 1e-12
 PROB_MATCH_TOL = 1e-10
@@ -45,14 +40,21 @@ class WPrimeSpec:
     """Complex coefficients c_1..c_N of a single-excitation pure state.
 
     coeffs is a read-only 1-D complex128 copy of the input, entry m the
-    amplitude of "party m excited".
+    amplitude of "party m excited". Every per-party fact a run reads is
+    derived here, once, and read-only.
     """
 
     coeffs: np.ndarray
-    # the party that keeps its amplitude, see min_coefficient_index
+    # |c_i| by hypot, which rounds like abs() of a Python complex; np.abs need not
+    magnitudes: np.ndarray = field(init=False, repr=False)
+    # the party that keeps its amplitude: the smallest |c_i|, where magnitudes
+    # within MAG_TIE_TOL of the minimum tie and ties go to the smallest index
     min_index: int = field(init=False, repr=False)
     # min |c_i|, the magnitude every party rescales to
     min_magnitude: float = field(init=False, repr=False)
+    # every party but min_index, ascending: the order of the steps, of the
+    # measured modes and of the sampler's draws (mode t belongs to party acting[t])
+    acting: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         coeffs = np.array(self.coeffs, dtype=np.complex128)
@@ -62,14 +64,13 @@ class WPrimeSpec:
             raise SpecError(f"need at least 2 parties, got n={len(coeffs)}")
         if not np.isfinite(coeffs).all():
             raise SpecError("coefficients must be finite")
-        # hypot rounds like abs() of a Python complex; np.abs need not
         mags = np.hypot(coeffs.real, coeffs.imag)
         total = float(np.sum(mags**2))
         if abs(total - 1.0) > 1e-9:
             raise SpecError(f"sum |c_i|^2 = {total!r}, expected 1 within 1e-9")
         zeros = np.flatnonzero(coeffs == 0)
         if len(zeros):
-            raise DegenerateCoefficientError(
+            raise SpecError(
                 f"coefficient {zeros[0]} is zero; the distillation probability would vanish"
             )
         min_magnitude = float(mags.min())
@@ -78,9 +79,12 @@ class WPrimeSpec:
                 f"min|c_i| = {min_magnitude!r} is below the supported floor "
                 f"{MIN_MAGNITUDE_FLOOR:.2g}: N * min|c_i|^2 underflows to 0"
             )
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "min_index", min_coefficient_index(coeffs))
+        min_index = int(np.argmax(mags <= min_magnitude + MAG_TIE_TOL))
+        acting = np.delete(np.arange(len(coeffs)), min_index)
+        for name, value in (("coeffs", coeffs), ("magnitudes", mags), ("acting", acting)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "min_index", min_index)
         object.__setattr__(self, "min_magnitude", min_magnitude)
 
     @property
@@ -121,9 +125,8 @@ class DistillationReport:
     # corrected particle amplitudes, entry m: particle m excited
     final_state: np.ndarray
     fidelity_with_w: float
-    min_index: int
     # cavity scheme: interaction time of each acting party's pass, in
-    # acting_parties order
+    # spec.acting order
     cavity_steps: np.ndarray | None = None
 
 
@@ -135,19 +138,6 @@ def make_w_state(n: int) -> np.ndarray:
     return np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
 
 
-def min_coefficient_index(coeffs: np.ndarray) -> int:
-    """Index of the smallest-magnitude coefficient; magnitudes within
-    MAG_TIE_TOL of the minimum tie, and ties go to the smallest index."""
-    mags = np.hypot(coeffs.real, coeffs.imag)
-    return int(np.argmax(mags <= mags.min() + MAG_TIE_TOL))
-
-
-def acting_parties(spec: WPrimeSpec) -> np.ndarray:
-    """Every party but spec.min_index, ascending: the order of the steps and
-    of the measured modes (mode t belongs to party acting_parties(spec)[t])."""
-    return np.delete(np.arange(spec.n), spec.min_index)
-
-
 def ancilla_steps(spec: WPrimeSpec) -> tuple[np.ndarray, np.ndarray]:
     """(keep, fire): block entries of every acting party's ancilla step.
 
@@ -157,7 +147,7 @@ def ancilla_steps(spec: WPrimeSpec) -> tuple[np.ndarray, np.ndarray]:
     keep = z_k of its amplitude, which rescales (and de-phases) it to
     min|c_i|, and hands fire = s_k to its ancilla.
     """
-    keep = spec.min_magnitude / spec.coeffs[acting_parties(spec)]
+    keep = spec.min_magnitude / spec.coeffs[spec.acting]
     return keep, np.sqrt(np.maximum(0.0, 1.0 - np.abs(keep) ** 2))
 
 
@@ -169,7 +159,7 @@ def analytic_success_probability(spec: WPrimeSpec) -> float:
 def evolve_sector(spec: WPrimeSpec, keep, fire, spectator: complex = 1.0) -> SectorState:
     """Apply every step to sum_m c_m |particle m excited> at once.
 
-    Step t couples particle acting_parties(spec)[t] to mode t, which starts
+    Step t couples particle spec.acting[t] to mode t, which starts
     empty. In the single-excitation sector it multiplies every ket by its
     spectator phase and, relative to that phase, sends |particle excited>
     to keep[t] times itself plus fire[t] times |mode t excited>. spectator
@@ -177,10 +167,9 @@ def evolve_sector(spec: WPrimeSpec, keep, fire, spectator: complex = 1.0) -> Sec
     acts on; it multiplies every amplitude once. Either scheme's step
     function (ancilla_steps, jc_steps) gives the entries.
     """
-    users = acting_parties(spec)
     particles = spec.coeffs.copy()
-    acting = particles[users]
-    particles[users] = keep * acting
+    acting = particles[spec.acting]
+    particles[spec.acting] = keep * acting
     amps = np.concatenate((particles, fire * acting))
     if spectator != 1.0:
         amps *= spectator
@@ -188,15 +177,17 @@ def evolve_sector(spec: WPrimeSpec, keep, fire, spectator: complex = 1.0) -> Sec
     return SectorState(spec.n, amps)
 
 
-def zero_prefix_weights(state: SectorState) -> np.ndarray:
-    """remaining[t], t = 0..n_modes: weight of the kets in which modes
+def zero_prefix_weights(state: SectorState) -> tuple[np.ndarray, np.ndarray]:
+    """(mode_weights, remaining): mode_weights[t] = |a_t|^2 of mode t, and
+    remaining[t], t = 0..n_modes, the weight of the kets in which modes
     0..t-1 all read 0, i.e. the particles' weight plus that of modes t
     onward. remaining[0] is the squared norm; the last entry is the
     particles' weight alone. Summed from the last mode backward, so no
     entry is a difference of larger ones."""
     w = np.abs(state.amps) ** 2
-    tail = np.concatenate(([w[: state.n].sum()], w[state.n :][::-1]))
-    return np.cumsum(tail)[::-1]
+    modes = w[state.n :]
+    tail = np.concatenate(([w[: state.n].sum()], modes[::-1]))
+    return modes, np.cumsum(tail)[::-1]
 
 
 def measure_all_branches(state: SectorState) -> tuple[np.ndarray, float, np.ndarray | None]:
@@ -213,8 +204,8 @@ def measure_all_branches(state: SectorState) -> tuple[np.ndarray, float, np.ndar
     the success branch, or None when it has probability zero); fire[t] is
     the probability that mode t reads 1.
     """
-    remaining = zero_prefix_weights(state)
-    fire = np.abs(state.modes) ** 2 / remaining[0]
+    mode_weights, remaining = zero_prefix_weights(state)
+    fire = mode_weights / remaining[0]
     success_prob = float(remaining[-1] / remaining[0])
     success_particles = None
     if success_prob > 0.0:
@@ -271,10 +262,10 @@ def distill(spec: WPrimeSpec, state: SectorState, phases: np.ndarray) -> Distill
     # success has N min|c_i|^2 / sum|c_i|^2, and party k's mode fires with
     # (|c_k|^2 - min|c_i|^2) / sum|c_i|^2: a spec may be off norm by 1e-9
     analytic = analytic_success_probability(spec)
-    mags_sq = np.hypot(spec.coeffs.real, spec.coeffs.imag) ** 2
+    mags_sq = spec.magnitudes**2
     norm_sq = mags_sq.sum()
     _check("success probability", success_prob, analytic / norm_sq, PROB_MATCH_TOL)
-    closed = (mags_sq[acting_parties(spec)] - spec.min_magnitude**2) / norm_sq
+    closed = (mags_sq[spec.acting] - spec.min_magnitude**2) / norm_sq
     t = int(np.argmax(np.abs(fire - closed)))  # argmax stops at the first NaN
     _check(f"mode {t} firing probability", float(fire[t]), float(closed[t]), PROB_MATCH_TOL)
     if success_particles is None:
@@ -289,7 +280,6 @@ def distill(spec: WPrimeSpec, state: SectorState, phases: np.ndarray) -> Distill
         fire_probabilities=fire,
         final_state=final_state,
         fidelity_with_w=fid,
-        min_index=spec.min_index,
     )
 
 

@@ -5,6 +5,12 @@ import pytest
 
 from wdistill.protocol import WPrimeSpec
 
+
+def pytest_configure(config):
+    # a numpy overflow, invalid or divide warning leaking from the engine fails the suite
+    config.addinivalue_line("filterwarnings", "error::RuntimeWarning")
+
+
 # The worked three-party example used throughout: coefficients
 # (sqrt 0.5, sqrt 0.3, sqrt 0.2), success probability 3 * 0.2 = 0.6.
 WORKED_COEFFS = (math.sqrt(0.5), math.sqrt(0.3), math.sqrt(0.2))

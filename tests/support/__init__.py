@@ -10,8 +10,7 @@ those matrices, plus the Jaynes-Cummings Hamiltonian whose
 eigendecomposition checks the closed-form propagator; `sampler` is the
 matrix-form Monte Carlo sampler the streaming one is checked against;
 `ingest` is the list-based coefficient-file loader the array one in
-wdistill.cli is checked against; `schema2` rebuilds the previous report
-layout from the current one.
+wdistill.cli is checked against.
 Nothing here is imported by the package.
 """
 import numpy as np
@@ -33,8 +32,7 @@ def fired_pattern(fired: int | None, n: int, min_index: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def branch_rows(report) -> dict[tuple[int, ...], dict]:
-    """A sector report's branch rows as the CLI writes them, in order,
+def branch_rows(spec, report) -> dict[tuple[int, ...], dict]:
+    """The branch rows the CLI writes for spec's sector report, in order,
     keyed by their outcome pattern spelled as the dense records spell it."""
-    n = len(report.final_state)
-    return {fired_pattern(row["fired"], n, report.min_index): row for row in _branch_rows(report)}
+    return {fired_pattern(row["fired"], spec.n, spec.min_index): row for row in _branch_rows(spec, report)}

@@ -43,12 +43,12 @@ def _zero_prefix_cdfs(state: SectorState, mode_dim: int) -> np.ndarray:
     the single-excitation sector only outcomes 0 and 1 occur: mode t reads 1
     with probability |a_t|^2 / R[t], R being the running remaining weight of
     zero_prefix_weights."""
-    remaining = zero_prefix_weights(state)
+    mode_weights, remaining = zero_prefix_weights(state)
     if remaining[-1] == 0.0:
         raise ToleranceError("all-zero measurement prefix has zero probability")
     probs = np.zeros((len(remaining) - 1, mode_dim))
     probs[:, 0] = remaining[1:] / remaining[:-1]
-    probs[:, 1] = np.abs(state.modes) ** 2 / remaining[:-1]
+    probs[:, 1] = mode_weights / remaining[:-1]
     return np.cumsum(probs, axis=1)
 
 

@@ -19,7 +19,6 @@ from wdistill.cli import main
 from wdistill.montecarlo import TrialConfig, run_trials
 from wdistill.protocol import (
     WPrimeSpec,
-    acting_parties,
     analytic_success_probability,
     run_exact,
 )
@@ -140,7 +139,7 @@ def test_criterion_6_timing_law():
         eps = rng.uniform(0.5, 5.0)
         min_mag = min(abs(c) for c in spec.coeffs)
         dts = jc_steps(spec, JCParams(omega=1.0, epsilon=eps))[0]
-        for k, dt in zip(acting_parties(spec), dts):
+        for k, dt in zip(spec.acting, dts):
             resid = abs(abs(spec.coeffs[k]) * math.cos(eps * dt) - min_mag)
             if resid > 1e-12:
                 failures.append(f"timing identity residual {resid!r}")

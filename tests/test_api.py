@@ -47,6 +47,11 @@ REMOVED = (
     "evolved_physical_state",
     # report schema 3: a sample run counts the failures of each mode (TrialStats.fired)
     "outcome_histogram",
+    # WPrimeSpec derives every per-party fact once: min_index by the tie
+    # rule, and acting, every other party; a zero coefficient is a SpecError
+    "acting_parties",
+    "min_coefficient_index",
+    "DegenerateCoefficientError",
 )
 # dense state-vector names: the package runs in the single-excitation sector,
 # and these live on only as the test oracle in tests/support
@@ -82,6 +87,14 @@ def test_branch_records_spell_no_pattern_tuple():
     # a report holds one firing probability per mode; the CLI spells the rows
     fields = {f.name for f in dataclasses.fields(protocol.DistillationReport)}
     assert "fire_probabilities" in fields and "branch_records" not in fields
+
+
+def test_report_does_not_echo_the_minimal_party():
+    # spec.min_index is the one record of it; REMOVED cannot name min_index,
+    # which WPrimeSpec keeps
+    fields = {f.name for f in dataclasses.fields(protocol.DistillationReport)}
+    assert "min_index" not in fields
+    assert "min_index" in {f.name for f in dataclasses.fields(protocol.WPrimeSpec)}
 
 
 def test_sector_state_has_no_mode_dimension():

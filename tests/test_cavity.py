@@ -19,8 +19,8 @@ from support.steps import (
 from wdistill import cavity
 from wdistill.cavity import JCParams, jc_steps, run_physical
 from wdistill.cli import load_spec
-from wdistill.errors import DegenerateCoefficientError, ValidationError
-from wdistill.protocol import WPrimeSpec, acting_parties, evolve_sector, min_coefficient_index, run_exact
+from wdistill.errors import SpecError, ValidationError
+from wdistill.protocol import WPrimeSpec, evolve_sector, run_exact
 
 RANDOM64 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "random64.json")
 
@@ -138,7 +138,7 @@ class TestOptimalInteractionTime:
         c = complex(-0.42572406775439253, 0.26221940838666646)
         spec = WPrimeSpec([math.sqrt(0.5), c, c])
         dt = jc_steps(spec, JCParams(omega=5, epsilon=1))[0]
-        assert acting_parties(spec).tolist() == [0, 2]
+        assert spec.acting.tolist() == [0, 2]
         assert dt[1] == 0.0
 
     def test_worked_value(self, worked_spec):
@@ -158,7 +158,7 @@ class TestOptimalInteractionTime:
             eps = rng.uniform(0.5, 5.0)
             min_mag = min(abs(c) for c in spec.coeffs)
             for k in range(spec.n):
-                if k == min_coefficient_index(spec.coeffs):
+                if k == spec.min_index:
                     continue
                 plan = optimal_interaction_time(spec, k, eps)
                 assert 0.0 <= plan.delta_t <= math.pi / (2 * eps)
@@ -173,7 +173,7 @@ class TestOptimalInteractionTime:
         assert optimal_interaction_time(worked_spec, 0, 1.0).accrued_phases is None
 
     def test_rejects_zero_coefficient(self):
-        with pytest.raises(DegenerateCoefficientError):
+        with pytest.raises(SpecError, match="is zero"):
             spec = WPrimeSpec((1.0, 0.0))
             optimal_interaction_time(spec, 1, 1.0)
 
@@ -232,7 +232,7 @@ class TestRunPhysical:
             params = JCParams(omega=w, epsilon=rng.uniform(0.5, 4.0))
             state = evolve_sector(spec, *jc_steps(spec, params)[1:])
             min_mag = min(abs(c) for c in spec.coeffs)
-            for amp in state.particles[acting_parties(spec)]:
+            for amp in state.particles[spec.acting]:
                 assert abs(abs(amp) - min_mag) <= 1e-12
 
     def test_complex_phases_repaired(self):
@@ -266,7 +266,7 @@ class TestRunPhysical:
         monkeypatch.setattr(cavity, "distill", spy)
         dt = run_physical(spec, JCParams(omega=w, epsilon=1.0)).cavity_steps.tolist()
         expected = [cmath.phase(c) for c in spec.coeffs.tolist()]
-        for k, dt_k in zip(acting_parties(spec).tolist(), dt):
+        for k, dt_k in zip(spec.acting.tolist(), dt):
             expected[k] -= w * dt_k
         (phases,) = handed
         np.testing.assert_array_equal(phases.view(np.uint64), np.array(expected).view(np.uint64))

@@ -284,8 +284,12 @@ class TestSample:
         assert doc["jc_params"] == {"omega": 50.0, "epsilon": 1.0}
         assert abs(doc["empirical_p"] - 0.6) <= 4 * math.sqrt(0.6 * 0.4 / 20_000)
 
-    def test_bad_trials_exits_1(self, worked_path):
+    def test_bad_trials_exits_1(self, capsys, worked_path):
         assert main(["sample", worked_path, "--trials", "0"]) == 1
+        # the CLI checks its flags before TrialConfig's own check, which exits 2
+        for seed in ("-1", str(2**64)):
+            assert main(["sample", worked_path, "--seed", seed]) == 1
+            assert "--seed must be a 64-bit unsigned integer" in capsys.readouterr().err
 
 
 class TestSweep:
@@ -462,6 +466,10 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "run_exact", boom)
         assert main(["distill", worked_path]) == 3
 
+    def test_unwritable_out_exits_1(self, capsys, tmp_path, worked_path):
+        assert main(["distill", worked_path, "--out", str(tmp_path)]) == 1
+        assert f"cannot write {tmp_path}" in capsys.readouterr().err
+
     def test_emitted_codes_are_in_contract(self, tmp_path, worked_path):
         observed = {
             main(["distill", worked_path]),
@@ -473,9 +481,7 @@ class TestExitCodes:
 
 
 class TestConsoleScript:
-    def test_installed_entry_point(self, tmp_path):
-        path = tmp_path / "s.json"
-        path.write_text(json.dumps(WORKED_FILE), encoding="utf-8")
+    def test_installed_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "wdistill.cli", "wstate", "--n", "2"],
             capture_output=True,

@@ -7,10 +7,6 @@ subcommand on them. Any engine change must reproduce these bytes; a file
 is regenerated only when a change deliberately moves its bytes, and the
 change log says which.
 
-tests/golden/schema2/ keeps the stdout of the spec commands in the previous
-report layout (schema 2); support.schema2 must rebuild each of those files
-from the current report, so the layout change moved no value.
-
 Report bytes also depend on which SIMD kernels numpy dispatches to (e.g.
 np.angle and np.arccos of an array round some inputs differently with and
 without AVX-512), so the goldens are also rerun with numpy's AVX-512 kernels
@@ -24,8 +20,7 @@ import sys
 
 import pytest
 
-from support.schema2 import to_schema2
-from wdistill.cli import load_spec, main, render_report
+from wdistill.cli import main
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden")
@@ -43,11 +38,6 @@ CASES = {
     for spec in ("worked", "random5", "random64", "near_tie")
     for name, cmd in SPEC_COMMANDS.items()
 }
-# the --fock each spec command ran with (1, the default, where it has none)
-FOCK = {
-    name: int(cmd[cmd.index("--fock") + 1]) if "--fock" in cmd else 1
-    for name, cmd in SPEC_COMMANDS.items()
-}
 CASES["sweep"] = ["sweep", "--n", "4", "--steps", "6"]
 CASES["wstate"] = ["wstate", "--n", "4"]
 
@@ -58,18 +48,6 @@ def test_stdout_matches_golden(capsys, name):
         expected = fh.read()
     assert main(CASES[name]) == 0
     assert capsys.readouterr().out == expected
-
-
-@pytest.mark.parametrize("spec", ["worked", "random5", "random64", "near_tie"])
-@pytest.mark.parametrize("command", sorted(SPEC_COMMANDS))
-def test_schema2_golden_is_rebuilt_from_the_report(capsys, spec, command):
-    name = f"{spec}.{command}"
-    with open(os.path.join(GOLDEN, "schema2", f"{name}.out"), encoding="utf-8", newline="") as fh:
-        expected = fh.read()
-    assert main(CASES[name]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    min_index = load_spec(os.path.join(GOLDEN, f"{spec}.json"))[0].min_index
-    assert render_report(to_schema2(doc, FOCK[command], min_index)) == expected
 
 
 # runs every case in one interpreter: argv of cases as JSON in, then the

@@ -108,7 +108,7 @@ class TestRunTrials:
     def test_histogram_matches_exact_branches(self, worked_spec):
         trials = 100_000
         stats = run_trials(worked_spec, TrialConfig(trials=trials, seed=5))
-        exact = {row["fired"]: row["probability"] for row in _branch_rows(run_exact(worked_spec))}
+        exact = {row["fired"]: row["probability"] for row in _branch_rows(worked_spec, run_exact(worked_spec))}
         # the worked spec's minimal party is the last: mode t belongs to party t + 1
         assert list(exact) == [None, 1, 2]
         counts = {None: stats.successes, 1: stats.fired[0], 2: stats.fired[1]}

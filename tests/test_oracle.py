@@ -66,7 +66,7 @@ def test_reports_match_dense(name, fock):
     assert abs(sector.fidelity_with_w - oracle.fidelity_with_w) <= AGREE_TOL
 
     reachable = {r.pattern: r.probability for r in oracle.branch_records if r.probability > 0.0}
-    rows = branch_rows(sector)
+    rows = branch_rows(spec, sector)
     assert rows.keys() == reachable.keys()
     for digits, row in rows.items():
         assert abs(row["probability"] - reachable[digits]) <= AGREE_TOL
@@ -96,6 +96,6 @@ def test_ties_drop_exactly_the_zero_rows():
     # the tied parties' ancillas never fire: only success and party 1's row
     for fock in (None, 1, 2):
         sector, _ = _runs(SPECS["three_way_tie"], fock)
-        assert list(branch_rows(sector)) == [(0, 0, 0), (1, 0, 0)]
+        assert list(branch_rows(SPECS["three_way_tie"], sector)) == [(0, 0, 0), (1, 0, 0)]
     sector, _ = _runs(SPECS["uniform"], None)
-    assert list(branch_rows(sector)) == [(0, 0, 0)]
+    assert list(branch_rows(SPECS["uniform"], sector)) == [(0, 0, 0)]

@@ -1,5 +1,6 @@
 import cmath
 import math
+import os
 
 import numpy as np
 import pytest
@@ -10,20 +11,19 @@ from support.linalg import is_unitary
 from support.statevec import StateVector, apply_local
 from support.steps import ANCILLA_PAIR, ANCILLA_VAC, build_step_unitary, leaked_entries, plan
 from wdistill.cavity import JCParams, run_physical
-from wdistill.errors import DegenerateCoefficientError, SpecError, ToleranceError, ValidationError
+from wdistill.cli import load_spec
+from wdistill.errors import SpecError, ToleranceError, ValidationError
 from wdistill.protocol import (
     FIDELITY_TOL,
     PROB_MATCH_TOL,
     SectorState,
     WPrimeSpec,
-    acting_parties,
     analytic_success_probability,
     ancilla_steps,
     distill,
     evolve_sector,
     fidelity,
     make_w_state,
-    min_coefficient_index,
     phase_correction,
     run_exact,
 )
@@ -73,6 +73,24 @@ class TestSpecValidation:
             spec.coeffs[0] = 1.0
         given[0] = 0.0
         assert spec.coeffs.tolist() == [0.6, 0.8j]
+
+    def test_derived_arrays_are_read_only(self, worked_spec):
+        with pytest.raises(ValueError):
+            worked_spec.magnitudes[0] = 1.0
+        with pytest.raises(ValueError):
+            worked_spec.acting[0] = 2
+
+    def test_acting_is_every_party_but_the_minimal_one(self):
+        near_tie = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "near_tie.json")
+        rng = np.random.default_rng(5)
+        specs = [WPrimeSpec([0.5] * 4), load_spec(near_tie)[0]]
+        specs += [random_spec(rng, int(rng.integers(2, 9))) for _ in range(20)]
+        for spec in specs:
+            assert spec.acting.tolist() == np.delete(np.arange(spec.n), spec.min_index).tolist()
+            assert spec.magnitudes.tolist() == [abs(c) for c in spec.coeffs.tolist()]
+        # an exact tie, and a near tie 4e-13 apart, both go to the smaller index
+        assert specs[0].acting.tolist() == [1, 2, 3]
+        assert specs[1].magnitudes.argmin() == 3 and specs[1].acting.tolist() == [0, 2, 3]
 
     def test_rejects_input_that_is_not_1d(self):
         with pytest.raises(SpecError, match=r"1-D .*\(2, 2\)"):
@@ -130,7 +148,7 @@ class TestBuildStepUnitary:
         assert is_unitary(step.u_k, 1e-12)
 
     def test_rejects_zero_coefficient(self):
-        with pytest.raises(DegenerateCoefficientError):
+        with pytest.raises(SpecError, match="is zero"):
             spec = WPrimeSpec([1.0, 0.0])
             build_step_unitary(spec, 1)
 
@@ -148,7 +166,7 @@ class TestBuildStepUnitary:
             phases = np.exp(1j * rng.uniform(0, 2 * np.pi, 3))
             a, b, c = np.sqrt(probs) * phases
             spec = WPrimeSpec([a, b, c])
-            assert min_coefficient_index(spec.coeffs) == 2
+            assert spec.min_index == 2
             np.testing.assert_allclose(
                 build_step_unitary(spec, 0).u_k, n3_step_matrix(abs(c), a), atol=1e-12
             )
@@ -176,7 +194,7 @@ class TestPlan:
         assert WPrimeSpec(coeffs).min_index == 0
 
     def test_rejects_zero_coefficient(self):
-        with pytest.raises(DegenerateCoefficientError):
+        with pytest.raises(SpecError, match="is zero"):
             plan(WPrimeSpec([1.0, 0.0]))
 
 
@@ -200,10 +218,10 @@ class TestRunExact:
         report = run_exact(worked_spec)
         assert report.success_probability_exact == pytest.approx(0.6, abs=1e-10)
         assert report.fidelity_with_w == pytest.approx(1.0, abs=1e-12)
-        assert report.min_index == 2
+        assert worked_spec.min_index == 2
 
     def test_worked_branch_probabilities(self, worked_spec):
-        probs = {p: row["probability"] for p, row in branch_rows(run_exact(worked_spec)).items()}
+        probs = {p: row["probability"] for p, row in branch_rows(worked_spec, run_exact(worked_spec)).items()}
         assert probs[(1, 0)] == pytest.approx(0.3, abs=1e-12)
         assert probs[(0, 1)] == pytest.approx(0.1, abs=1e-12)
         # the zero-probability pattern is not listed; the dense walk gives it 0
@@ -250,7 +268,7 @@ class TestRunExact:
             # the dense walk checks that every failure branch leaves the
             # particles ground, and describes it so
             described = {r.pattern: r.description for r in dense.run_exact(spec).branch_records}
-            for p, row in branch_rows(run_exact(spec)).items():
+            for p, row in branch_rows(spec, run_exact(spec)).items():
                 if row["probability"] > 0 and any(p):
                     assert "collapsed" in described[p]
 
@@ -373,7 +391,7 @@ class TestEvolveSector:
         for _ in range(10):
             spec = random_spec(rng, int(rng.integers(2, 9)))
             steps = []
-            for k in acting_parties(spec).tolist():
+            for k in spec.acting.tolist():
                 block = random_unitary(rng, 2)
                 steps.append((k, sector_step(np.exp(1j * rng.uniform(0, 7)), block, rng.normal())))
             u = np.array([m for _, m in steps])
@@ -396,7 +414,7 @@ class TestEvolveSector:
         for _ in range(10):
             spec = random_spec(rng, int(rng.integers(2, 8)))
             state = evolve_sector(spec, *ancilla_steps(spec))
-            assert [s.k for s in plan(spec)] == acting_parties(spec).tolist()
+            assert [s.k for s in plan(spec)] == spec.acting.tolist()
             assert state.amps.shape == (2 * spec.n - 1,)
 
 
