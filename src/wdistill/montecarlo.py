@@ -18,13 +18,18 @@ non-|0>/non-vacuum detection; failure branches cannot recover, so this
 truncation does not change the success/failure classification.
 
 Trials run in fixed chunks, and each step draws only for the trials of the
-chunk still alive, tallying failures per step: memory is bounded by the
-chunk size whatever the number of trials, and no draw is made after a
-trial's first failure.
+chunk still alive, tallying failures per step: no draw is made after a
+trial's first failure. The chunks are shared among W workers, W the smaller
+of the chunk count and the CPUs this process may run on (its affinity), so
+memory is O(_CHUNK) per worker whatever the number of trials. Every draw
+is still the same function of (seed, trial, step), and the counts are
+integer sums, so W changes no result.
 """
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +46,15 @@ from .protocol import (
 )
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
-# trials per chunk: bounds the sampler's memory, never its results
-_CHUNK = 1 << 16
+# trials per chunk: bounds each worker's memory, never the results
+_CHUNK = 1 << 15
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -106,32 +118,55 @@ def _tally(seed: int, trials: int, limits: np.ndarray) -> tuple[int, np.ndarray]
     """Successes and per-step failure counts of trials 0..trials-1.
 
     Trials run in chunks of _CHUNK, and each step draws only for the trials
-    of the chunk that are still alive, so memory is O(_CHUNK) whatever the
-    trial count and no draw past a trial's first failure is made.
+    of the chunk that are still alive. The calling thread and W - 1 helper
+    threads take chunks from one shared iterator, each into its own buffers
+    and counts; numpy's uint64 passes release the GIL. With one worker no
+    thread starts.
     """
     # scalar keys reduced in Python ints: numpy warns on scalar wraparound
     step_keys = [np.uint64((t + 1) * int(_GAMMA) % 2**64) for t in range(len(limits))]
-    fired = np.zeros(len(limits), dtype=np.int64)
-    successes = 0
-    draws = np.empty(min(_CHUNK, trials), dtype=np.uint64)
-    scratch = np.empty_like(draws)
-    for lo in range(0, trials, _CHUNK):
-        hi = min(lo + _CHUNK, trials)
-        # trial i's state: mix(seed + (i+1)*GAMMA)
-        alive = np.arange(lo + 1, hi + 1, dtype=np.uint64)
-        np.multiply(alive, _GAMMA, out=alive)
-        np.add(alive, np.uint64(seed), out=alive)
-        _mix64(alive, scratch[: hi - lo])
-        for t, (key, limit) in enumerate(zip(step_keys, limits)):
-            m = len(alive)
-            draw = _mix64(np.add(alive, key, out=draws[:m]), scratch[:m])
-            zero = np.right_shift(draw, np.uint64(11), out=scratch[:m]) < limit
-            alive = alive[zero]
-            fired[t] += m - len(alive)
-            if not len(alive):
-                break
-        successes += len(alive)
-    return successes, fired
+    # (h >> 11) < L iff h <= L * 2^11 - 1, and L in [1, 2^53] keeps that in uint64
+    thresholds = [np.uint64(int(limit) * 2**11 - 1) for limit in limits]
+    starts = iter(range(0, trials, _CHUNK))
+    workers = min(-(-trials // _CHUNK), _usable_cpus())
+    # row j: worker j's trials by first failed step, the last bin for none
+    counts = np.zeros((workers, len(limits) + 1), dtype=np.int64)
+    errors: list[Exception] = []
+
+    def work(j: int) -> None:
+        draws = np.empty(min(_CHUNK, trials), dtype=np.uint64)
+        scratch = np.empty_like(draws)
+        try:
+            for lo in starts:
+                hi = min(lo + _CHUNK, trials)
+                # trial i's state: mix(seed + (i+1)*GAMMA)
+                alive = np.arange(lo + 1, hi + 1, dtype=np.uint64)
+                np.multiply(alive, _GAMMA, out=alive)
+                np.add(alive, np.uint64(seed), out=alive)
+                _mix64(alive, scratch[: hi - lo])
+                for t, (key, threshold) in enumerate(zip(step_keys, thresholds)):
+                    m = len(alive)
+                    draw = _mix64(np.add(alive, key, out=draws[:m]), scratch[:m])
+                    alive = alive[draw <= threshold]
+                    counts[j, t] += m - len(alive)
+                    if not len(alive):
+                        break
+                counts[j, -1] += len(alive)
+        except Exception as exc:  # a thread would only print it: the caller raises it
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(j,)) for j in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    total = counts.sum(axis=0)
+    if total.sum() != trials:
+        raise ToleranceError(f"tally counted {total.sum()} trials, expected {trials}")
+    return int(total[-1]), total[:-1]
 
 
 def run_trials(spec: WPrimeSpec, config: TrialConfig) -> TrialStats:

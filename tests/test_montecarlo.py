@@ -1,5 +1,7 @@
 import math
 import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -209,8 +211,67 @@ class TestStreaming:
             config = _config(trials, seed, fock)
             expected = sampler.run_trials(spec, config, _model(fock))
             monkeypatch.setattr(montecarlo, "_CHUNK", chunk or trials)
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(montecarlo, "_usable_cpus", lambda w=workers: w)
+                stats = run_trials(spec, config)
+                assert stats == expected, (chunk, workers)
+
+    def test_one_chunk_starts_no_thread(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread started for one chunk")
+
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(montecarlo.threading, "Thread", no_thread)
+        spec = STREAMING_SPECS["random8"]
+        for trials in (1, 1000, montecarlo._CHUNK):
+            config = TrialConfig(trials=trials, seed=3)
+            assert run_trials(spec, config) == sampler.run_trials(spec, config, None)
+
+    def test_workers_racing_for_chunks_lose_none(self, monkeypatch):
+        # more workers than this suite's 2-vCPU hosts, switching every
+        # microsecond, on 286 chunks: a chunk taken twice or dropped moves a count
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(montecarlo, "_CHUNK", 7)
+        spec = STREAMING_SPECS["random8"]
+        config = TrialConfig(trials=2000, seed=11)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
             stats = run_trials(spec, config)
-            assert stats == expected, chunk
+        finally:
+            sys.setswitchinterval(interval)
+        assert stats == sampler.run_trials(spec, config, None)
+
+    def _fault_in_helper(self, monkeypatch, fault: BaseException) -> threading.Event:
+        # the calling thread's first draw waits until a helper has drawn, so
+        # the helper's draw, later than that one, is the one that fails
+        real, helper_drew = montecarlo._mix64, threading.Event()
+
+        def faulty(x, scratch):
+            if threading.current_thread() is threading.main_thread():
+                helper_drew.wait(timeout=30)
+                return real(x, scratch)
+            helper_drew.set()
+            raise fault
+
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_CHUNK", 64)
+        monkeypatch.setattr(montecarlo, "_mix64", faulty)
+        return helper_drew
+
+    def test_a_failing_helper_fails_the_run(self, monkeypatch):
+        helper_drew = self._fault_in_helper(monkeypatch, RuntimeError("helper fault"))
+        with pytest.raises(RuntimeError, match="helper fault"):
+            run_trials(STREAMING_SPECS["random8"], TrialConfig(trials=1000, seed=1))
+        assert helper_drew.is_set()
+
+    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_a_lost_chunk_fails_the_count(self, monkeypatch):
+        # SystemExit ends a thread without a trace: its chunk's trials go uncounted
+        helper_drew = self._fault_in_helper(monkeypatch, SystemExit())
+        with pytest.raises(ToleranceError, match=r"tally counted 9\d\d trials, expected 1000"):
+            run_trials(STREAMING_SPECS["random8"], TrialConfig(trials=1000, seed=1))
+        assert helper_drew.is_set()
 
     @pytest.mark.parametrize("fock", FOCK)
     @pytest.mark.parametrize("name", sorted(STREAMING_SPECS))
@@ -250,6 +311,31 @@ class TestStreaming:
         above = montecarlo._tally(seed, 1, np.array([k + 1], dtype=np.uint64))
         assert (on_limit[0], list(on_limit[1])) == (0, [1])
         assert (above[0], list(above[1])) == (1, [0])
+        # the extreme limits: L = 2^53 (threshold 2^64 - 1) passes every
+        # draw, and L = 1 passes only h >> 11 == 0, which none of these is
+        for seed in range(200):
+            assert trial_uniforms(seed, 1, 1)[0, 0] > 0.0
+            top = montecarlo._tally(seed, 1, np.array([2**53], dtype=np.uint64))
+            bottom = montecarlo._tally(seed, 1, np.array([1], dtype=np.uint64))
+            assert (top[0], list(top[1])) == (1, [0])
+            assert (bottom[0], list(bottom[1])) == (0, [1])
+
+    def test_tally_threshold_is_exact_in_the_low_bits(self, monkeypatch):
+        # with an identity mix, trial 0's first draw is seed + 2*GAMMA, so the
+        # seed sets it: h = L * 2^11 - 1 reads 0 and h = L * 2^11 reads 1
+        monkeypatch.setattr(montecarlo, "_mix64", lambda x, scratch: x)
+
+        def reads_zero(h: int, limit: int) -> bool:
+            seed = (h - 2 * int(montecarlo._GAMMA)) % 2**64
+            successes, fired = montecarlo._tally(seed, 1, np.array([limit], dtype=np.uint64))
+            assert successes + fired[0] == 1
+            return successes == 1
+
+        for limit in (1, 2, 12345, 2**52 + 1, 2**53):
+            assert reads_zero(limit * 2**11 - 1, limit), limit
+            assert reads_zero(0, limit), limit
+            if limit < 2**53:
+                assert not reads_zero(limit * 2**11, limit), limit
 
     def test_rounded_cdf_reports_digit_one(self):
         # where cdf[t, 1] rounds below 1, the largest draw u = 1 - 2^-53 lies
