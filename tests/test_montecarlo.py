@@ -2,6 +2,7 @@ import math
 import os
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -213,6 +214,7 @@ class TestStreaming:
             monkeypatch.setattr(montecarlo, "_CHUNK", chunk or trials)
             for workers in (1, 2, 3):
                 monkeypatch.setattr(montecarlo, "_usable_cpus", lambda w=workers: w)
+                monkeypatch.setattr(montecarlo, "_MAX_WORKERS", workers)
                 stats = run_trials(spec, config)
                 assert stats == expected, (chunk, workers)
 
@@ -227,10 +229,28 @@ class TestStreaming:
             config = TrialConfig(trials=trials, seed=3)
             assert run_trials(spec, config) == sampler.run_trials(spec, config, None)
 
+    def test_workers_are_capped_whatever_the_cpus(self, monkeypatch):
+        # each worker holds O(_CHUNK): a 64-CPU host must not hold 64 of them
+        started = []
+
+        class CountedThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 64)
+        monkeypatch.setattr(montecarlo, "_CHUNK", 64)
+        monkeypatch.setattr(montecarlo.threading, "Thread", CountedThread)
+        spec = STREAMING_SPECS["random8"]
+        config = TrialConfig(trials=64 * 64, seed=3)
+        assert run_trials(spec, config) == sampler.run_trials(spec, config, None)
+        assert len(started) == montecarlo._MAX_WORKERS - 1 == 1
+
     def test_workers_racing_for_chunks_lose_none(self, monkeypatch):
-        # more workers than this suite's 2-vCPU hosts, switching every
-        # microsecond, on 286 chunks: a chunk taken twice or dropped moves a count
+        # more workers than the cap, switching every microsecond, on 286
+        # chunks: a chunk taken twice or dropped moves a count
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(montecarlo, "_MAX_WORKERS", 3)
         monkeypatch.setattr(montecarlo, "_CHUNK", 7)
         spec = STREAMING_SPECS["random8"]
         config = TrialConfig(trials=2000, seed=11)
@@ -242,36 +262,70 @@ class TestStreaming:
             sys.setswitchinterval(interval)
         assert stats == sampler.run_trials(spec, config, None)
 
-    def _fault_in_helper(self, monkeypatch, fault: BaseException) -> threading.Event:
-        # the calling thread's first draw waits until a helper has drawn, so
-        # the helper's draw, later than that one, is the one that fails
-        real, helper_drew = montecarlo._mix64, threading.Event()
+    def _fault_in_helper(self, monkeypatch, fault: BaseException) -> list[int]:
+        # the helper's first draw waits until the calling thread has drawn,
+        # and fails; the caller's draws go on once it has: the sizes of the
+        # caller's draws are returned
+        real, caller_draws = montecarlo._mix64, []
+        caller_drew, helper_drew = threading.Event(), threading.Event()
 
         def faulty(x, scratch):
             if threading.current_thread() is threading.main_thread():
+                caller_draws.append(len(x))
+                caller_drew.set()
                 helper_drew.wait(timeout=30)
                 return real(x, scratch)
+            caller_drew.wait(timeout=30)
             helper_drew.set()
             raise fault
 
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(montecarlo, "_CHUNK", 64)
         monkeypatch.setattr(montecarlo, "_mix64", faulty)
-        return helper_drew
+        return caller_draws
 
     def test_a_failing_helper_fails_the_run(self, monkeypatch):
-        helper_drew = self._fault_in_helper(monkeypatch, RuntimeError("helper fault"))
+        caller_draws = self._fault_in_helper(monkeypatch, RuntimeError("helper fault"))
         with pytest.raises(RuntimeError, match="helper fault"):
             run_trials(STREAMING_SPECS["random8"], TrialConfig(trials=1000, seed=1))
-        assert helper_drew.is_set()
+        # the caller ends soon after: at most 2 of its 15 chunks, 8 draws each
+        assert 1 <= len(caller_draws) <= 16
 
     @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
     def test_a_lost_chunk_fails_the_count(self, monkeypatch):
-        # SystemExit ends a thread without a trace: its chunk's trials go uncounted
-        helper_drew = self._fault_in_helper(monkeypatch, SystemExit())
-        with pytest.raises(ToleranceError, match=r"tally counted 9\d\d trials, expected 1000"):
+        # SystemExit ends a thread without a trace: its chunk's trials go
+        # uncounted, and the helper leaves the caller none after its own
+        self._fault_in_helper(monkeypatch, SystemExit())
+        with pytest.raises(ToleranceError, match=r"tally counted 64 trials, expected 1000"):
             run_trials(STREAMING_SPECS["random8"], TrialConfig(trials=1000, seed=1))
-        assert helper_drew.is_set()
+
+    def test_a_fault_in_the_caller_stops_the_helpers(self, monkeypatch):
+        # as Ctrl-C does: a BaseException in the calling thread, once the
+        # helper has drawn, ends the helper after the chunk it holds
+        class Interrupt(BaseException):
+            pass
+
+        real, helper_draws, helper_drew = montecarlo._mix64, [], threading.Event()
+
+        def faulty(x, scratch):
+            if threading.current_thread() is threading.main_thread():
+                helper_drew.wait(timeout=30)
+                raise Interrupt
+            helper_draws.append(len(x))
+            helper_drew.set()
+            time.sleep(0.01)  # leaves the calling thread the GIL
+            return real(x, scratch)
+
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_CHUNK", 64)
+        monkeypatch.setattr(montecarlo, "_mix64", faulty)
+        threads = threading.active_count()
+        with pytest.raises(Interrupt):
+            # one step that every draw passes: two draws per chunk, 100 chunks
+            montecarlo._tally(1, 64 * 100, np.array([2**53], dtype=np.uint64))
+        # the chunk held at the fault and at most one more, and joined
+        assert 1 <= len(helper_draws) <= 4
+        assert threading.active_count() == threads
 
     @pytest.mark.parametrize("fock", FOCK)
     @pytest.mark.parametrize("name", sorted(STREAMING_SPECS))
