@@ -4,8 +4,8 @@ Atoms carry the entanglement (|g> = 0, |e> = 1); each acting party's ancilla
 is a single cavity mode prepared in vacuum. Sending atom k through its cavity
 for the right interaction time realizes the amplitude rescaling through
 resonant Rabi oscillation: |c_k| cos(eps * dt_k) = min|c_i|. Detecting every
-cavity in vacuum post-selects the W state; the leftover e^{+-i w dt/2}
-phases are recorded per step and repaired by classical Ramsey-zone pulses.
+cavity in vacuum post-selects the W state; each atom's leftover phase, its
+Ramsey angle w dt_k mod 2 pi, is repaired by a classical Ramsey-zone pulse.
 
 Each pass conserves excitation number, so the simulation runs in the same
 single-excitation sector as the abstract scheme: atom k's pass acts on
@@ -13,8 +13,8 @@ single-excitation sector as the abstract scheme: atom k's pass acts on
 many photons the cavity could hold, and jc_steps gives those entries in
 closed form. That closed form is the resonant model, mode and atomic
 transition both at w, so w and the coupling eps are all a result depends on.
-The Ramsey repair is one array of phases, one entry per atom (see
-run_physical).
+The Ramsey repair is one array of phases, one entry per atom, built from the
+same reduced angles the passes apply (see run_physical).
 
 hbar = 1 throughout.
 """
@@ -49,49 +49,48 @@ class JCParams:
 
 def jc_steps(
     spec: WPrimeSpec, params: JCParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, complex]:
-    """(dt, keep, fire, spectator): every acting atom's pass in closed form.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(dt, theta, keep, fire): every acting atom's pass in closed form.
 
     At resonance a pass of duration dt multiplies |g,0> by e^{+i w dt/2}
     and rotates (|e,0>, |g,1>) by e^{-i w dt/2} [[cos, -i sin], [-i sin,
-    cos]](eps dt). Relative to the spectator phase, the excited atom keeps
-    keep = e^{-i w dt} cos(eps dt) and hands fire = -i e^{-i w dt}
-    sin(eps dt) to its cavity; spectator = e^{i w sum(dt)/2} is the product
-    of every pass's |g,0> phase. dt_k = arccos(r_k) / eps with r_k =
-    min|c_i| / |c_k|, and keep takes r_k for cos(eps dt_k): cos(arccos r)
-    errs by an ulp of 1, not of r. Arrays are in spec.acting order.
-    Raises ValidationError if a dt or w sum(dt) is not finite.
+    cos]](eps dt). Dropping the pass's global phase e^{+i w dt/2}, which
+    no measurement sees, the excited atom keeps keep = e^{-i theta}
+    cos(eps dt) and hands fire = -i e^{-i theta} sin(eps dt) to its
+    cavity, where theta = w dt reduced mod 2 pi is the Ramsey angle
+    the repair undoes. dt_k = arccos(r_k) / eps with r_k = min|c_i| /
+    |c_k|, and keep takes r_k for cos(eps dt_k): cos(arccos r) errs by an
+    ulp of 1, not of r. Arrays are in spec.acting order.
+    Raises ValidationError if a dt or w dt is not finite.
     """
     # |c_k| is rounded as min|c_i| was (spec.magnitudes): a party tied at
     # the minimum gets ratio 1 and dt = 0 exactly
     r = np.minimum(1.0, spec.min_magnitude / spec.magnitudes[spec.acting])
     # libm acos: np.arccos's SIMD path rounds some inputs differently (see run_physical)
-    with np.errstate(over="ignore"):  # an overflowed dt is rejected below
+    with np.errstate(over="ignore", invalid="ignore"):  # dt = inf, w dt = 0 * inf: rejected below
         dt = np.fromiter(map(math.acos, r.tolist()), np.float64, len(r)) / params.epsilon
-    try:
-        total = math.fsum(dt)  # inf if a dt is: every dt is >= 0
-    except OverflowError:  # finite times whose sum is beyond the double range
-        total = math.inf
-    if not math.isfinite(params.omega * total):
+        angle = params.omega * dt
+    if not np.isfinite(angle).all():  # w dt is finite only where dt is
         raise ValidationError(
             f"coupling epsilon = {params.epsilon!r} with omega = {params.omega!r} gives interaction "
-            "times dt or a Ramsey angle omega * sum(dt) beyond the double range"
+            "times dt or a Ramsey angle omega * dt beyond the double range"
         )
-    turn = np.exp(-1j * params.omega * dt)
-    spectator = cmath.exp(0.5j * params.omega * total)
-    return dt, turn * r, -1j * turn * np.sin(params.epsilon * dt), spectator
+    theta = np.remainder(angle, 2 * math.pi)
+    turn = np.exp(-1j * theta)
+    return dt, theta, turn * r, -1j * turn * np.sin(params.epsilon * dt)
 
 
 def run_physical(spec: WPrimeSpec, params: JCParams) -> DistillationReport:
     """Run the cavity scheme exactly: evolve, photodetect, Ramsey-repair.
 
-    Pass k leaves atom k's excited term carrying arg(c_k) - omega*dt_k
-    relative to the spectator terms, and the minimal atom, which no pass
-    acts on, keeps arg(c_j); the shared runner undoes exactly these phases.
+    Pass k leaves atom k's excited term carrying arg(c_k) - theta_k, with
+    theta_k its reduced Ramsey angle (jc_steps), and the minimal atom, which
+    no pass acts on, keeps arg(c_j); the shared runner undoes exactly these
+    phases.
     """
-    dt, *steps = jc_steps(spec, params)
+    dt, theta, *steps = jc_steps(spec, params)
     # cmath.phase, not np.angle: np.angle's SIMD path differs from atan2 by
     # an ulp on some inputs, which would make report bytes CPU-dependent
     phases = np.fromiter(map(cmath.phase, spec.coeffs.tolist()), np.float64, spec.n)
-    phases[spec.acting] -= params.omega * dt
+    phases[spec.acting] -= theta
     return replace(distill(spec, evolve_sector(spec, *steps), phases), cavity_steps=dt)

@@ -183,7 +183,7 @@ def _tally(seed: int, trials: int, limits: np.ndarray) -> tuple[int, np.ndarray]
 def run_trials(spec: WPrimeSpec, config: TrialConfig) -> TrialStats:
     """Sample config.trials runs of the protocol, deterministic given (spec,
     config): the successes, and per mode the trials in which it fired."""
-    steps = ancilla_steps(spec) if config.params is None else jc_steps(spec, config.params)[1:]
+    steps = ancilla_steps(spec) if config.params is None else jc_steps(spec, config.params)[2:]
     limits = _zero_limits(evolve_sector(spec, *steps))
     successes, fired = _tally(config.seed, config.trials, limits)
 

@@ -156,23 +156,20 @@ def analytic_success_probability(spec: WPrimeSpec) -> float:
     return spec.n * spec.min_magnitude**2
 
 
-def evolve_sector(spec: WPrimeSpec, keep, fire, spectator: complex = 1.0) -> SectorState:
+def evolve_sector(spec: WPrimeSpec, keep, fire) -> SectorState:
     """Apply every step to sum_m c_m |particle m excited> at once.
 
-    Step t couples particle spec.acting[t] to mode t, which starts
-    empty. In the single-excitation sector it multiplies every ket by its
-    spectator phase and, relative to that phase, sends |particle excited>
-    to keep[t] times itself plus fire[t] times |mode t excited>. spectator
-    is the product of the N-1 spectator phases, the phase of a ket no step
-    acts on; it multiplies every amplitude once. Either scheme's step
+    Step t couples particle spec.acting[t] to mode t, which starts empty.
+    In the single-excitation sector it sends |particle excited> to keep[t]
+    times itself plus fire[t] times |mode t excited> and leaves every other
+    ket as it is; a step's phase on the kets it does not act on is global,
+    and its entries are relative to that phase. Either scheme's step
     function (ancilla_steps, jc_steps) gives the entries.
     """
     particles = spec.coeffs.copy()
     acting = particles[spec.acting]
     particles[spec.acting] = keep * acting
     amps = np.concatenate((particles, fire * acting))
-    if spectator != 1.0:
-        amps *= spectator
     amps.setflags(write=False)
     return SectorState(spec.n, amps)
 

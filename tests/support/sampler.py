@@ -58,7 +58,7 @@ def zero_prefix_cdfs(spec: WPrimeSpec, model: JCModel | None = None) -> np.ndarr
     model.fock_cutoff + 1 outcomes per mode."""
     if model is None:
         return _zero_prefix_cdfs(evolve_sector(spec, *ancilla_steps(spec)), 2)
-    return _zero_prefix_cdfs(evolve_sector(spec, *jc_steps(spec, model.params)[1:]), model.fock_cutoff + 1)
+    return _zero_prefix_cdfs(evolve_sector(spec, *jc_steps(spec, model.params)[2:]), model.fock_cutoff + 1)
 
 
 def trial_uniforms(seed: int, trials: int, draws: int) -> np.ndarray:

@@ -105,7 +105,7 @@ def test_sector_state_has_no_mode_dimension():
 
 def test_evolve_sector_takes_the_spec_and_step_entries():
     params = list(inspect.signature(protocol.evolve_sector).parameters)
-    assert params == ["spec", "keep", "fire", "spectator"]
+    assert params == ["spec", "keep", "fire"]
 
 
 @pytest.mark.parametrize("name", DENSE)

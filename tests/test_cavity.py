@@ -230,7 +230,7 @@ class TestRunPhysical:
             spec = random_spec(rng, int(rng.integers(2, 6)))
             w = rng.uniform(1.0, 50.0)
             params = JCParams(omega=w, epsilon=rng.uniform(0.5, 4.0))
-            state = evolve_sector(spec, *jc_steps(spec, params)[1:])
+            state = evolve_sector(spec, *jc_steps(spec, params)[2:])
             min_mag = min(abs(c) for c in spec.coeffs)
             for amp in state.particles[spec.acting]:
                 assert abs(abs(amp) - min_mag) <= 1e-12
@@ -250,11 +250,12 @@ class TestRunPhysical:
             assert abs(amp.imag) <= 1e-12
 
     def test_ramsey_ledger_is_cmath_phase(self, monkeypatch):
-        # the repair angle of atom k is arg(c_k) - w dt_k with cmath.phase's
+        # the repair angle of atom k is arg(c_k) - theta_k with cmath.phase's
         # rounding: np.angle's SIMD path rounds 2 of random64's arguments
         # differently on AVX-512 hosts, which would move report bytes there.
-        # w = 1 keeps w dt_k near 1: at w = 50 the subtraction rounds an ulp
-        # of arg(c_k) away and neither rounding would show
+        # w = 1 keeps w dt_k near 1, below 2 pi, so theta_k = w dt_k: at w = 50
+        # the subtraction rounds an ulp of arg(c_k) away and neither rounding
+        # would show
         spec = load_spec(RANDOM64)[0]
         w = 1.0
         distill, handed = cavity.distill, []

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import random_spec
-from wdistill.cli import main, render_report
+from wdistill.cli import load_spec, main, render_report
 from wdistill.protocol import FIDELITY_TOL
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -37,7 +37,7 @@ def run_cli(capsys, *argv) -> tuple[int, str]:
 def tiny_coupling(epsilon: float, omega: float = 50.0) -> str:
     return (
         f"coupling epsilon = {epsilon!r} with omega = {omega!r} gives interaction "
-        "times dt or a Ramsey angle omega * sum(dt) beyond the double range"
+        "times dt or a Ramsey angle omega * dt beyond the double range"
     )
 
 
@@ -187,7 +187,7 @@ class TestCavity:
             (["sample", "--epsilon", "nan", "--fock", "0"], "epsilon must be finite"),
             (["sample", "--epsilon", "0"], "coupling epsilon must be > 0, got 0.0"),
             (["sample", "--fock", "0"], "fock_cutoff must be >= 1, got 0"),
-            # couplings so small that an interaction time or omega * sum(dt) overflows
+            # couplings so small that an interaction time or omega * dt overflows
             (
                 ["sample", "--scheme", "cavity", "--trials", "1000", "--epsilon", "5e-324"],
                 tiny_coupling(5e-324),
@@ -195,9 +195,11 @@ class TestCavity:
             (["cavity", "--epsilon", "5e-324"], tiny_coupling(5e-324)),
             (["cavity", "--epsilon", "1e-308"], tiny_coupling(1e-308)),
             (["cavity", "--epsilon", "1e-300", "--omega", "1e9"], tiny_coupling(1e-300, 1e9)),
-            # each dt is finite, their sum is not
+            # each dt is finite, omega * dt is not
             (["cavity", "--epsilon", "5e-309"], tiny_coupling(5e-309)),
             (["sample", "--scheme", "cavity", "--epsilon", "5e-309"], tiny_coupling(5e-309)),
+            # omega * dt is 0 * inf, NaN: rejected, and no RuntimeWarning leaks (an error here)
+            (["cavity", "--omega", "0", "--epsilon", "5e-324"], tiny_coupling(5e-324, 0.0)),
         ],
     )
     def test_bad_jc_flags_exit_2(self, capsys, worked_path, argv, message):
@@ -206,10 +208,26 @@ class TestCavity:
         assert main([argv[0], worked_path, *argv[1:]]) == 2
         assert capsys.readouterr().err == f"wdistill: invalid input: {message}\n"
 
-    def test_ramsey_angle_overflow_over_many_parties_exits_2(self, capsys):
-        # 63 passes of dt ~ 1e300 each: omega * sum(dt) overflows at omega = 1e8
-        assert main(["cavity", RANDOM64, "--epsilon", "1e-300", "--omega", "1e8"]) == 2
-        assert capsys.readouterr().err == f"wdistill: invalid input: {tiny_coupling(1e-300, 1e8)}\n"
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            pytest.param(["--epsilon", "1e-9"], id="epsilon=1e-9"),
+            pytest.param(["--epsilon", "1e-300"], id="epsilon=1e-300"),
+            pytest.param(["--omega", "1e12"], id="omega=1e12"),
+            # 63 passes of dt ~ 1e300 each: every omega * dt is finite, their sum is not
+            pytest.param(["--epsilon", "1e-300", "--omega", "1e8"], id="epsilon=1e-300,omega=1e8"),
+        ],
+    )
+    def test_large_ramsey_angles_meet_every_check(self, capsys, flags):
+        # each pass's Ramsey angle omega * dt_k is reduced mod 2 pi once, and
+        # the repair undoes the same reduced angle, however many turns it holds
+        code, out = run_cli(capsys, "cavity", RANDOM64, *flags)
+        assert code == 0
+        report = json.loads(out)
+        coeffs = load_spec(RANDOM64)[0].coeffs
+        analytic = len(coeffs) * np.abs(coeffs).min() ** 2
+        assert abs(report["success_probability_exact"] - analytic) <= 1e-10
+        assert abs(1.0 - report["fidelity_with_w"]) <= 1e-12
 
     def test_probabilities_independent_of_omega(self, capsys, worked_path):
         _, out_a = run_cli(capsys, "cavity", worked_path, "--omega", "50")

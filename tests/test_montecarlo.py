@@ -194,7 +194,7 @@ def _config(trials: int, seed: int, fock: int | None) -> TrialConfig:
 def _state(spec: WPrimeSpec, fock: int | None):
     if fock is None:
         return evolve_sector(spec, *ancilla_steps(spec))
-    return evolve_sector(spec, *jc_steps(spec, _model(fock).params)[1:])
+    return evolve_sector(spec, *jc_steps(spec, _model(fock).params)[2:])
 
 
 def _cdfs(spec: WPrimeSpec, fock: int | None) -> np.ndarray:

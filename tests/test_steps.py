@@ -5,9 +5,10 @@ The package describes every step by its block entries alone
 building a matrix. Here each party's reference matrix from support.steps,
 built independently entry by entry, must keep the single-excitation sector
 exactly: no nonzero entry may link its vacuum ket or its one-excitation
-pair to any other ket. Its block, relative to its spectator phase, must
-equal the runtime's entries, and the product of its spectator phases the
-runtime's spectator.
+pair to any other ket. Its block, relative to its vacuum phase, must match
+the runtime's entries: in magnitude, in the cross term of the two columns,
+which holds no phase, and in each pass's phase up to the runtime's
+reduction of its Ramsey angle mod 2 pi.
 """
 import math
 import os
@@ -31,10 +32,11 @@ from wdistill.cli import load_spec
 from wdistill.protocol import WPrimeSpec, ancilla_steps
 
 ENTRY_TOL = 1e-15
-# per radian of the total spectator angle w * sum(dt) / 2 (at least one):
-# the reference rounds each pass's angle and the runtime their sum, so the
-# two phases can agree only to a few ulps of that angle
-SPECTATOR_TOL = 1e-14
+# |2 pi - fl(2 pi)| = 2.45e-16, as sin(fl(2 pi)) = -(2 pi - fl(2 pi)) to
+# within its cube: the runtime reduces w dt_k by whole turns of fl(2 pi) and
+# the reference's libm exp by 2 pi itself, so a pass of m full turns may
+# differ in phase by m times this, plus ENTRY_TOL
+TWO_PI_ERROR = abs(math.sin(2 * math.pi))
 
 NEAR_TIE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "near_tie.json")
 
@@ -53,23 +55,23 @@ CASES = [(name, fock) for name in SPECS for fock in (None, 1, 2, 3)]
 
 
 def _reference(name: str, fock: int | None):
-    """(reference matrices, vac, pair, runtime keep, fire, spectator,
-    spectator angle)."""
+    """(reference matrices, vac, pair, runtime keep, fire, full turns of
+    each pass's Ramsey angle)."""
     spec = SPECS[name]
     if fock is None:
         keep, fire = ancilla_steps(spec)
-        return [s.u_k for s in plan(spec)], ANCILLA_VAC, ANCILLA_PAIR, keep, fire, 1.0, 0.0
+        return [s.u_k for s in plan(spec)], ANCILLA_VAC, ANCILLA_PAIR, keep, fire, np.zeros(len(keep))
     rng = np.random.default_rng([spec.n, fock])
     w = rng.uniform(0.5, 100.0)
     model = JCModel(omega=w, omega0=w, epsilon=rng.uniform(0.2, 5.0), fock_cutoff=fock)
-    dt, keep, fire, spectator = jc_steps(spec, model.params)
+    dt, _, keep, fire = jc_steps(spec, model.params)
     # the matrices are taken at the runtime's times: omega * dt reaches ~10^2,
     # so an ulp of dt would move the phases by more than ENTRY_TOL
     reference_dt = [p.delta_t for p in physical_plan(spec, model.params)]
     np.testing.assert_allclose(dt, reference_dt, rtol=2 * np.finfo(float).eps, atol=0)
     vac, pair = jc_sector_kets(fock + 1)
-    angle = 0.5 * w * math.fsum(dt)
-    return [jc_propagator_closed(model, t) for t in dt], vac, pair, keep, fire, spectator, angle
+    turns = np.floor(w * dt / (2 * math.pi))
+    return [jc_propagator_closed(model, t) for t in dt], vac, pair, keep, fire, turns
 
 
 @pytest.mark.parametrize("name,fock", CASES)
@@ -82,11 +84,14 @@ def test_step_matrices_keep_the_sector(name, fock):
 
 @pytest.mark.parametrize("name,fock", CASES)
 def test_block_entries_match_the_matrices(name, fock):
-    mats, vac, pair, keep, fire, spectator, angle = _reference(name, fock)
+    mats, vac, pair, keep, fire, turns = _reference(name, fock)
     phases = np.array([u[vac, vac] for u in mats])
     column = np.array([u[list(pair), pair[0]] for u in mats]) / phases[:, None]
     assert keep.shape == fire.shape == phases.shape
-    assert np.max(np.abs(column[:, 0] - keep)) <= ENTRY_TOL
-    assert np.max(np.abs(column[:, 1] - fire)) <= ENTRY_TOL
-    assert abs(np.prod(phases) - spectator) <= SPECTATOR_TOL * max(1.0, angle)
+    assert np.max(np.abs(np.abs(column[:, 0]) - np.abs(keep))) <= ENTRY_TOL
+    assert np.max(np.abs(np.abs(column[:, 1]) - np.abs(fire))) <= ENTRY_TOL
+    # keep and fire share one phase, as the columns do: it cancels here
+    assert np.max(np.abs(column[:, 1] * keep - fire * column[:, 0])) <= ENTRY_TOL
+    drift = np.abs(keep / np.abs(keep) - column[:, 0] / np.abs(column[:, 0]))
+    assert np.all(drift <= turns * TWO_PI_ERROR + ENTRY_TOL)
 
