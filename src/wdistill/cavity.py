@@ -93,4 +93,4 @@ def run_physical(spec: WPrimeSpec, params: JCParams) -> DistillationReport:
     # an ulp on some inputs, which would make report bytes CPU-dependent
     phases = np.fromiter(map(cmath.phase, spec.coeffs.tolist()), np.float64, spec.n)
     phases[spec.acting] -= theta
-    return replace(distill(spec, evolve_sector(spec, *steps), phases), cavity_steps=dt)
+    return replace(distill(spec, *evolve_sector(spec, *steps), phases), cavity_steps=dt)

@@ -232,9 +232,9 @@ def cmd_sample(args) -> int:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
     if not 0 <= args.seed < 2**64:
         raise UsageError("--seed must be a 64-bit unsigned integer")
-    spec, factor = load_spec(args.spec_path, args.allow_unnormalized)
     # the JC flags are validated under either scheme, and read by the cavity one
     params = _jc_params(args)
+    spec, factor = load_spec(args.spec_path, args.allow_unnormalized)
     cavity = args.scheme == "cavity"
     config = TrialConfig(trials=args.trials, seed=args.seed, params=params if cavity else None)
     stats = run_trials(spec, config)

@@ -29,6 +29,7 @@ integer sums, so W changes no result.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -38,7 +39,6 @@ import numpy as np
 from .cavity import JCParams, jc_steps
 from .errors import ToleranceError, ValidationError
 from .protocol import (
-    SectorState,
     WPrimeSpec,
     analytic_success_probability,
     ancilla_steps,
@@ -70,9 +70,17 @@ class TrialConfig:
     params: JCParams | None = None
 
     def __post_init__(self):
+        for name in ("trials", "seed"):
+            value = getattr(self, name)
+            try:
+                if isinstance(value, bool):  # an int subclass, but no count or seed
+                    raise TypeError
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValidationError(f"{name} must be an integer, got {value!r}") from None
         if self.trials < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ValidationError("seed must be a 64-bit unsigned integer")
 
 
@@ -99,7 +107,7 @@ def _mix64(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return np.bitwise_xor(x, np.right_shift(x, np.uint64(31), out=scratch), out=x)
 
 
-def _zero_limits(state: SectorState) -> np.ndarray:
+def _zero_limits(particles, modes) -> np.ndarray:
     """Integer form of the inverse-CDF rule: draw h reads 0 at step t iff
     (h >> 11) < limits[t].
 
@@ -109,7 +117,7 @@ def _zero_limits(state: SectorState) -> np.ndarray:
     iff k < q_t * 2^53; for an integer k that is k < ceil(q_t * 2^53), a
     limit <= 2^53.
     """
-    remaining = zero_prefix_weights(state)[1]
+    remaining = zero_prefix_weights(particles, modes)[1]
     # the weights are nonnegative partial sums: any NaN or inf reaches the total
     if not math.isfinite(remaining[0]):
         raise ToleranceError(f"state weight {float(remaining[0])!r} is not finite")
@@ -184,7 +192,7 @@ def run_trials(spec: WPrimeSpec, config: TrialConfig) -> TrialStats:
     """Sample config.trials runs of the protocol, deterministic given (spec,
     config): the successes, and per mode the trials in which it fired."""
     steps = ancilla_steps(spec) if config.params is None else jc_steps(spec, config.params)[2:]
-    limits = _zero_limits(evolve_sector(spec, *steps))
+    limits = _zero_limits(*evolve_sector(spec, *steps))
     successes, fired = _tally(config.seed, config.trials, limits)
 
     empirical = successes / config.trials

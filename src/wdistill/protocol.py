@@ -10,12 +10,13 @@ N * min|c_i|^2. All indices are 0-based internally; user-facing output is
 1-based.
 
 Every step conserves excitation number, so the joint state never leaves the
-2N-1 kets "particle m excited" / "ancilla t excited" (SectorState), and only
-N of the measurement patterns can occur. Inside that sector a step is a 2x2
-rotation of (party k excited, its ancilla excited) times a phase on every
-other ket, so the runtime describes each step by two closed-form block
-entries and applies all of them at once: a run costs O(N). A run is a few
-length-N arrays end to end: the spec's coefficients, each mode's firing
+2N-1 kets "particle m excited" / "ancilla t excited", and only N of the
+measurement patterns can occur. Inside that sector a step is a 2x2 rotation
+of (party k excited, its ancilla excited) times a phase on every other ket,
+so the runtime describes each step by two closed-form block entries and
+applies all of them at once: a run costs O(N). A run is a few length-N
+arrays end to end: the spec's coefficients, the evolved state as its N
+particle and N-1 mode amplitudes (evolve_sector), each mode's firing
 probability and each particle's residual phase.
 """
 from __future__ import annotations
@@ -31,6 +32,9 @@ from .errors import SpecError, ToleranceError, ValidationError
 MAG_TIE_TOL = 1e-12
 PROB_MATCH_TOL = 1e-10
 FIDELITY_TOL = 1e-12
+# the tie window is also at most MAG_TIE_REL * min|c_i|: a party kept at
+# (1 + d) min|c_i| lowers F by at most d^2/4, <= FIDELITY_TOL/4 for d <= this
+MAG_TIE_REL = math.sqrt(FIDELITY_TOL)
 # below this min|c_i|, min|c_i|^2 is smaller than the least positive double
 MIN_MAGNITUDE_FLOOR = math.sqrt(math.ulp(0.0))
 
@@ -48,7 +52,8 @@ class WPrimeSpec:
     # |c_i| by hypot, which rounds like abs() of a Python complex; np.abs need not
     magnitudes: np.ndarray = field(init=False, repr=False)
     # the party that keeps its amplitude: the smallest |c_i|, where magnitudes
-    # within MAG_TIE_TOL of the minimum tie and ties go to the smallest index
+    # within min(MAG_TIE_TOL, MAG_TIE_REL * min|c_i|) of the minimum tie and
+    # ties go to the smallest index
     min_index: int = field(init=False, repr=False)
     # min |c_i|, the magnitude every party rescales to
     min_magnitude: float = field(init=False, repr=False)
@@ -65,7 +70,8 @@ class WPrimeSpec:
         if not np.isfinite(coeffs).all():
             raise SpecError("coefficients must be finite")
         mags = np.hypot(coeffs.real, coeffs.imag)
-        total = float(np.sum(mags**2))
+        with np.errstate(over="ignore"):  # an overflow reads inf, rejected below
+            total = float(np.sum(mags**2))
         if abs(total - 1.0) > 1e-9:
             raise SpecError(f"sum |c_i|^2 = {total!r}, expected 1 within 1e-9")
         zeros = np.flatnonzero(coeffs == 0)
@@ -79,7 +85,8 @@ class WPrimeSpec:
                 f"min|c_i| = {min_magnitude!r} is below the supported floor "
                 f"{MIN_MAGNITUDE_FLOOR:.2g}: N * min|c_i|^2 underflows to 0"
             )
-        min_index = int(np.argmax(mags <= min_magnitude + MAG_TIE_TOL))
+        window = min(MAG_TIE_TOL, MAG_TIE_REL * min_magnitude)
+        min_index = int(np.argmax(mags <= min_magnitude + window))
         acting = np.delete(np.arange(len(coeffs)), min_index)
         for name, value in (("coeffs", coeffs), ("magnitudes", mags), ("acting", acting)):
             value.setflags(write=False)
@@ -90,29 +97,6 @@ class WPrimeSpec:
     @property
     def n(self) -> int:
         return len(self.coeffs)
-
-
-@dataclass(frozen=True, eq=False)
-class SectorState:
-    """Particles plus measured modes (ancillas or cavities), restricted to
-    the kets that hold exactly one excitation.
-
-    amps[m] for m < n is the amplitude of "particle m excited, every mode
-    empty"; amps[n + t] that of "every particle ground, mode t holds one
-    quantum", modes in measurement order. Whatever a mode's local dimension
-    (a cavity's Fock cutoff), the sector gives its detection two outcomes.
-    """
-
-    n: int
-    amps: np.ndarray
-
-    @property
-    def particles(self) -> np.ndarray:
-        return self.amps[: self.n]
-
-    @property
-    def modes(self) -> np.ndarray:
-        return self.amps[self.n :]
 
 
 @dataclass(frozen=True)
@@ -156,7 +140,7 @@ def analytic_success_probability(spec: WPrimeSpec) -> float:
     return spec.n * spec.min_magnitude**2
 
 
-def evolve_sector(spec: WPrimeSpec, keep, fire) -> SectorState:
+def evolve_sector(spec: WPrimeSpec, keep, fire) -> tuple[np.ndarray, np.ndarray]:
     """Apply every step to sum_m c_m |particle m excited> at once.
 
     Step t couples particle spec.acting[t] to mode t, which starts empty.
@@ -165,29 +149,30 @@ def evolve_sector(spec: WPrimeSpec, keep, fire) -> SectorState:
     ket as it is; a step's phase on the kets it does not act on is global,
     and its entries are relative to that phase. Either scheme's step
     function (ancilla_steps, jc_steps) gives the entries.
+
+    Returns (particles, modes): particles[m] is the amplitude of "particle m
+    excited, every mode empty", modes[t] that of "every particle ground,
+    mode t holds one quantum", modes in spec.acting order.
     """
     particles = spec.coeffs.copy()
     acting = particles[spec.acting]
     particles[spec.acting] = keep * acting
-    amps = np.concatenate((particles, fire * acting))
-    amps.setflags(write=False)
-    return SectorState(spec.n, amps)
+    return particles, fire * acting
 
 
-def zero_prefix_weights(state: SectorState) -> tuple[np.ndarray, np.ndarray]:
+def zero_prefix_weights(particles, modes) -> tuple[np.ndarray, np.ndarray]:
     """(mode_weights, remaining): mode_weights[t] = |a_t|^2 of mode t, and
     remaining[t], t = 0..n_modes, the weight of the kets in which modes
     0..t-1 all read 0, i.e. the particles' weight plus that of modes t
     onward. remaining[0] is the squared norm; the last entry is the
     particles' weight alone. Summed from the last mode backward, so no
     entry is a difference of larger ones."""
-    w = np.abs(state.amps) ** 2
-    modes = w[state.n :]
-    tail = np.concatenate(([w[: state.n].sum()], modes[::-1]))
-    return modes, np.cumsum(tail)[::-1]
+    mode_weights = np.abs(modes) ** 2
+    tail = np.concatenate(([np.sum(np.abs(particles) ** 2)], mode_weights[::-1]))
+    return mode_weights, np.cumsum(tail)[::-1]
 
 
-def measure_all_branches(state: SectorState) -> tuple[np.ndarray, float, np.ndarray | None]:
+def measure_all_branches(particles, modes) -> tuple[np.ndarray, float, np.ndarray | None]:
     """Outcome probabilities of the mode measurements.
 
     Inside the sector either every mode reads 0 (the success branch) or
@@ -201,13 +186,13 @@ def measure_all_branches(state: SectorState) -> tuple[np.ndarray, float, np.ndar
     the success branch, or None when it has probability zero); fire[t] is
     the probability that mode t reads 1.
     """
-    mode_weights, remaining = zero_prefix_weights(state)
+    mode_weights, remaining = zero_prefix_weights(particles, modes)
     fire = mode_weights / remaining[0]
     success_prob = float(remaining[-1] / remaining[0])
     success_particles = None
     if success_prob > 0.0:
         # rescale before normalizing: the squared amplitudes may be subnormal
-        scaled = state.particles / np.abs(state.particles).max()
+        scaled = particles / np.abs(particles).max()
         success_particles = scaled / math.sqrt(float(np.sum(np.abs(scaled) ** 2)))
     return fire, success_prob, success_particles
 
@@ -245,16 +230,16 @@ def _check(what: str, value: float, target: float, tol: float) -> None:
         raise ToleranceError(f"{what} {value!r} is not {target!r} within {tol}")
 
 
-def distill(spec: WPrimeSpec, state: SectorState, phases: np.ndarray) -> DistillationReport:
-    """Post-select an evolved state on every mode reading 0, then
-    phase-correct it by the ledger phases (entry m: particle m's residual
-    phase); shared by both realizations.
+def distill(spec: WPrimeSpec, particles, modes, phases: np.ndarray) -> DistillationReport:
+    """Post-select an evolved state (evolve_sector) on every mode reading 0,
+    then phase-correct it by the ledger phases (entry m: particle m's
+    residual phase); shared by both realizations.
 
     Cross-checks the branch sum, the success probability and each failure
     row (party k's mode firing) against their closed forms, and the output
     against the uniform W state; raises ToleranceError on any breach.
     """
-    fire, success_prob, success_particles = measure_all_branches(state)
+    fire, success_prob, success_particles = measure_all_branches(particles, modes)
     _check("branch probability sum", success_prob + float(np.sum(fire)), 1.0, PROB_MATCH_TOL)
     # success has N min|c_i|^2 / sum|c_i|^2, and party k's mode fires with
     # (|c_k|^2 - min|c_i|^2) / sum|c_i|^2: a spec may be off norm by 1e-9
@@ -289,4 +274,4 @@ def run_exact(spec: WPrimeSpec) -> DistillationReport:
     phases = np.zeros(spec.n)
     j = spec.min_index
     phases[j] = cmath.phase(spec.coeffs[j])
-    return distill(spec, evolve_sector(spec, *ancilla_steps(spec)), phases)
+    return distill(spec, *evolve_sector(spec, *ancilla_steps(spec)), phases)

@@ -16,7 +16,6 @@ from wdistill.cavity import jc_steps
 from wdistill.errors import ToleranceError
 from wdistill.montecarlo import TrialConfig, TrialStats
 from wdistill.protocol import (
-    SectorState,
     WPrimeSpec,
     analytic_success_probability,
     ancilla_steps,
@@ -36,14 +35,14 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
-def _zero_prefix_cdfs(state: SectorState, mode_dim: int) -> np.ndarray:
+def _zero_prefix_cdfs(particles, modes, mode_dim: int) -> np.ndarray:
     """Cumulative conditional outcome distributions of each measured mode,
     given that every earlier mode read 0 (row t: mode t over its mode_dim
     outcomes, 2 for an ancilla qubit, fock_cutoff + 1 for a cavity). Inside
     the single-excitation sector only outcomes 0 and 1 occur: mode t reads 1
     with probability |a_t|^2 / R[t], R being the running remaining weight of
     zero_prefix_weights."""
-    mode_weights, remaining = zero_prefix_weights(state)
+    mode_weights, remaining = zero_prefix_weights(particles, modes)
     if remaining[-1] == 0.0:
         raise ToleranceError("all-zero measurement prefix has zero probability")
     probs = np.zeros((len(remaining) - 1, mode_dim))
@@ -57,8 +56,8 @@ def zero_prefix_cdfs(spec: WPrimeSpec, model: JCModel | None = None) -> np.ndarr
     abstract one when model is None, else the cavity one with
     model.fock_cutoff + 1 outcomes per mode."""
     if model is None:
-        return _zero_prefix_cdfs(evolve_sector(spec, *ancilla_steps(spec)), 2)
-    return _zero_prefix_cdfs(evolve_sector(spec, *jc_steps(spec, model.params)[2:]), model.fock_cutoff + 1)
+        return _zero_prefix_cdfs(*evolve_sector(spec, *ancilla_steps(spec)), 2)
+    return _zero_prefix_cdfs(*evolve_sector(spec, *jc_steps(spec, model.params)[2:]), model.fock_cutoff + 1)
 
 
 def trial_uniforms(seed: int, trials: int, draws: int) -> np.ndarray:

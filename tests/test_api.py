@@ -52,6 +52,9 @@ REMOVED = (
     "acting_parties",
     "min_coefficient_index",
     "DegenerateCoefficientError",
+    # evolve_sector returns the two arrays (particles, modes) that every
+    # consumer reads directly
+    "SectorState",
 )
 # dense state-vector names: the package runs in the single-excitation sector,
 # and these live on only as the test oracle in tests/support
@@ -99,7 +102,6 @@ def test_report_does_not_echo_the_minimal_party():
 
 def test_sector_state_has_no_mode_dimension():
     # the sector gives every mode's detection two outcomes, whatever the cutoff
-    assert [f.name for f in dataclasses.fields(protocol.SectorState)] == ["n", "amps"]
     assert "mode_dim" not in inspect.signature(protocol.evolve_sector).parameters
 
 

@@ -302,6 +302,17 @@ class TestSample:
         assert doc["jc_params"] == {"omega": 50.0, "epsilon": 1.0}
         assert abs(doc["empirical_p"] - 0.6) <= 4 * math.sqrt(0.6 * 0.4 / 20_000)
 
+    @pytest.mark.parametrize("command", ["cavity", "sample"])
+    @pytest.mark.parametrize(
+        "flags,message",
+        [(["--epsilon", "0"], "coupling epsilon must be > 0, got 0.0"), (["--fock", "0"], "fock_cutoff must be >= 1, got 0")],
+    )
+    def test_jc_flags_are_checked_before_the_spec(self, capsys, tmp_path, command, flags, message):
+        # both commands name the bad flag, not the bad spec, and read no file
+        path = write_spec(tmp_path, {"coefficients": [[1, 0], [0, 0]]})
+        assert main([command, path, *flags]) == 2
+        assert capsys.readouterr().err == f"wdistill: invalid input: {message}\n"
+
     def test_bad_trials_exits_1(self, capsys, worked_path):
         assert main(["sample", worked_path, "--trials", "0"]) == 1
         # the CLI checks its flags before TrialConfig's own check, which exits 2
@@ -465,6 +476,24 @@ class TestCavityRange:
         # cos(acos r) would put a relative error of ~2e-16 / ratio on it
         assert report["success_probability_exact"] == pytest.approx(analytic, rel=1e-12)
         assert abs(1.0 - report["fidelity_with_w"]) <= FIDELITY_TOL
+
+
+class TestTinyMagnitudeTies:
+    """Two magnitudes below the absolute tie tolerance 1e-12 but decades
+    apart do not tie: the smaller keeps its amplitude, and F = 1."""
+
+    @pytest.mark.parametrize("command", ["distill", "cavity"])
+    @pytest.mark.parametrize(
+        "coeffs",
+        [[[5e-13, 0], [1e-13, 0], [1, 0]], [[1e-20, 0], [1e-100, 0], [1, 0]]],
+        ids=["5e-13,1e-13", "1e-20,1e-100"],
+    )
+    def test_the_smaller_keeps_its_amplitude(self, capsys, tmp_path, command, coeffs):
+        code, out = run_cli(capsys, command, write_spec(tmp_path, {"coefficients": coeffs}))
+        assert code == 0
+        report = json.loads(out)
+        assert report["min_index"] == 2
+        assert abs(1.0 - report["fidelity_with_w"]) <= 1e-12
 
 
 class TestExitCodes:

@@ -24,7 +24,7 @@ from wdistill.montecarlo import (
     confidence_interval,
     run_trials,
 )
-from wdistill.protocol import SectorState, WPrimeSpec, ancilla_steps, evolve_sector, run_exact
+from wdistill.protocol import WPrimeSpec, ancilla_steps, evolve_sector, run_exact
 
 NEAR_TIE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "near_tie.json")
 
@@ -64,6 +64,19 @@ class TestTrialConfig:
             TrialConfig(trials=1, seed=-1)
         with pytest.raises(ValidationError):
             TrialConfig(trials=1, seed=2**64)
+
+    @pytest.mark.parametrize(
+        "field,value", [("seed", 1.7), ("seed", -0.5), ("trials", 2.5), ("seed", True), ("trials", True)]
+    )
+    def test_rejects_a_non_integer(self, field, value):
+        # a float seed would sample as its truncation, and bool is no count
+        with pytest.raises(ValidationError, match=rf"^{field} must be an integer, got {value!r}$"):
+            TrialConfig(**{"trials": 10, "seed": 1, field: value})
+
+    def test_numpy_integers_are_stored_as_int(self):
+        config = TrialConfig(trials=np.int64(10), seed=np.uint64(2**64 - 1))
+        assert (config.trials, config.seed) == (10, 2**64 - 1)
+        assert type(config.trials) is int and type(config.seed) is int
 
 
 class TestTrialUniforms:
@@ -332,13 +345,13 @@ class TestStreaming:
     def test_limits_are_the_reference_cdfs_first_column(self, name, fock):
         spec = STREAMING_SPECS[name]
         expected = np.ceil(_cdfs(spec, fock)[:, 0] * 2.0**53).astype(np.uint64)
-        np.testing.assert_array_equal(_zero_limits(_state(spec, fock)), expected)
+        np.testing.assert_array_equal(_zero_limits(*_state(spec, fock)), expected)
 
     @pytest.mark.parametrize("fock", FOCK)
     @pytest.mark.parametrize("name", sorted(STREAMING_SPECS))
     def test_integer_rule_matches_inverse_cdf_at_the_boundary(self, name, fock):
         cdfs = _cdfs(STREAMING_SPECS[name], fock)
-        limits = _zero_limits(_state(STREAMING_SPECS[name], fock))
+        limits = _zero_limits(*_state(STREAMING_SPECS[name], fock))
         for cdf, limit in zip(cdfs, limits):
             thr = cdf[0] * 2.0**53
             for k in {math.floor(thr) - 1, math.floor(thr), math.ceil(thr), 2**53 - 1}:
@@ -350,11 +363,10 @@ class TestStreaming:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_limits_reject_a_non_finite_weight(self, bad):
         # a NaN limit would cast to some uint64 and the sampler would run on it
-        state = _state(STREAMING_SPECS["random8"], None)
-        amps = state.amps.copy()
-        amps[state.n + 2] = complex(bad, 0.0)
+        particles, modes = _state(STREAMING_SPECS["random8"], None)
+        modes[2] = complex(bad, 0.0)
         with pytest.raises(ToleranceError, match=f"state weight {bad!r} is not finite"):
-            _zero_limits(SectorState(state.n, amps))
+            _zero_limits(particles, modes)
 
     def test_tally_compares_the_draw_with_the_limit(self):
         # trial 0's first draw k sits exactly on the limit: k < k reads 1,
@@ -401,7 +413,7 @@ class TestStreaming:
         for fock in (2, 3):
             for spec in STREAMING_SPECS.values():
                 cdfs = _cdfs(spec, fock)
-                for cdf, limit in zip(cdfs, _zero_limits(_state(spec, fock))):
+                for cdf, limit in zip(cdfs, _zero_limits(*_state(spec, fock))):
                     if cdf[1] > u:
                         continue
                     rounded += 1

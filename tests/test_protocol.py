@@ -15,8 +15,9 @@ from wdistill.cli import load_spec
 from wdistill.errors import SpecError, ToleranceError, ValidationError
 from wdistill.protocol import (
     FIDELITY_TOL,
+    MAG_TIE_REL,
+    MAG_TIE_TOL,
     PROB_MATCH_TOL,
-    SectorState,
     WPrimeSpec,
     analytic_success_probability,
     ancilla_steps,
@@ -97,6 +98,23 @@ class TestSpecValidation:
             WPrimeSpec([[0.5, 0.5], [0.5, 0.5]])
         with pytest.raises(SpecError, match=r"1-D"):
             WPrimeSpec(1.0)
+
+    def test_overflowing_norm_is_the_spec_error(self):
+        # |1e200|^2 overflows: the caller sees the norm check, no RuntimeWarning
+        with pytest.raises(SpecError, match=r"^sum \|c_i\|\^2 = inf, expected 1 within 1e-9$"):
+            WPrimeSpec([1e200, 0.5])
+
+    def test_tie_window_is_relative_below_a_minimum_of_1e_6(self):
+        # the window is min(MAG_TIE_TOL, MAG_TIE_REL * min|c_i|): 1e-12 down to
+        # min|c_i| = 1e-6, then 1e-6 * min|c_i|, so magnitudes decades apart
+        # below 1e-12 never tie
+        assert WPrimeSpec([5e-13, 1e-13, 1.0]).min_index == 1
+        assert WPrimeSpec([1e-20, 1e-100, 1.0]).min_index == 1
+        for least in (1e-9, 1e-3):
+            window = min(MAG_TIE_TOL, MAG_TIE_REL * least)
+            rest = math.sqrt(1.0 - 2.0 * least**2)
+            assert WPrimeSpec([least + 0.5 * window, least, rest]).min_index == 0
+            assert WPrimeSpec([least + 2.0 * window, least, rest]).min_index == 1
 
     def test_rejects_underflowing_minimum(self):
         with pytest.raises(SpecError, match=r"1e-170 .*floor 2\.2e-162"):
@@ -346,9 +364,9 @@ class TestRunExact:
             assert np.max(np.abs(psi - dense.evolved_joint_state(spec)[0].amps)) < 1e-13
             # sector entry s (particles, then ancillas in step order) is the
             # amplitude of the ket with site s alone excited
-            state = evolve_sector(spec, *ancilla_steps(spec))
+            sector = np.concatenate(evolve_sector(spec, *ancilla_steps(spec)))
             one_hot = [1 << (n_sites - 1 - s) for s in range(n_sites)]
-            assert np.max(np.abs(psi[one_hot] - state.amps)) < 1e-13
+            assert np.max(np.abs(psi[one_hot] - sector)) < 1e-13
             assert np.max(np.abs(np.delete(psi, one_hot))) < 1e-13
             anc_mask = sum(1 << (n_sites - 1 - s) for s in anc_sites)
             p_succ = sum(abs(a) ** 2 for i, a in enumerate(psi) if (i & anc_mask) == 0)
@@ -398,9 +416,9 @@ class TestEvolveSector:
             phases = u[:, 0, 0]
             keep, fire = u[:, 1, 1] / phases, u[:, 2, 1] / phases
             # evolve_sector leaves out the steps' global phases, their product
-            state = evolve_sector(spec, keep, fire)
+            sector = np.concatenate(evolve_sector(spec, keep, fire))
             expected = naive_sector_evolution(spec.coeffs, steps) / np.prod(phases)
-            assert np.max(np.abs(state.amps - expected)) <= 1e-14
+            assert np.max(np.abs(sector - expected)) <= 1e-14
 
     @pytest.mark.parametrize("entry", [(0, 1), (3, 1), (2, 0), (1, 3), (0, 3)])
     def test_rejects_any_coupling_out_of_the_sector(self, entry):
@@ -415,9 +433,10 @@ class TestEvolveSector:
         rng = np.random.default_rng(13)
         for _ in range(10):
             spec = random_spec(rng, int(rng.integers(2, 8)))
-            state = evolve_sector(spec, *ancilla_steps(spec))
+            particles, modes = evolve_sector(spec, *ancilla_steps(spec))
             assert [s.k for s in plan(spec)] == spec.acting.tolist()
-            assert state.amps.shape == (2 * spec.n - 1,)
+            assert particles.shape == (spec.n,)
+            assert modes.shape == (spec.n - 1,)
 
 
 class TestDistillChecks:
@@ -427,21 +446,19 @@ class TestDistillChecks:
     SPEC = WPrimeSpec([math.sqrt(0.5), math.sqrt(0.3), math.sqrt(0.2)])
 
     def test_nan_ledger_fails_the_fidelity_check(self):
-        state = evolve_sector(self.SPEC, *ancilla_steps(self.SPEC))
+        particles, modes = evolve_sector(self.SPEC, *ancilla_steps(self.SPEC))
         phases = np.array([0.0, math.nan, 0.0])
         message = rf"^corrected output fidelity nan is not 1\.0 within {FIDELITY_TOL}$"
         with pytest.raises(ToleranceError, match=message):
-            distill(self.SPEC, state, phases)
+            distill(self.SPEC, particles, modes, phases)
 
     def test_swapped_mode_amplitudes_fail_the_row_check(self):
         # the swap keeps the branch sum and the success probability, but then
         # the modes of parties 0 and 1 fire with 0.1 and 0.3, not 0.3 and 0.1
-        amps = evolve_sector(self.SPEC, *ancilla_steps(self.SPEC)).amps.copy()
-        n = self.SPEC.n
-        amps[n], amps[n + 1] = amps[n + 1], amps[n]
+        particles, modes = evolve_sector(self.SPEC, *ancilla_steps(self.SPEC))
         message = rf"^mode 0 firing probability 0\.09\d* is not 0\.30\d* within {PROB_MATCH_TOL}$"
         with pytest.raises(ToleranceError, match=message):
-            distill(self.SPEC, SectorState(n, amps), np.zeros(3))
+            distill(self.SPEC, particles, modes[::-1], np.zeros(3))
 
     @pytest.mark.parametrize(
         "run", [run_exact, lambda spec: run_physical(spec, JCParams(50.0, 1.0))], ids=["exact", "physical"]
@@ -462,11 +479,11 @@ class TestDistillChecks:
         assert abs(analytic - analytic / norm_sq) > PROB_MATCH_TOL
 
     def test_nan_amplitude_fails_the_branch_sum(self):
-        amps = evolve_sector(self.SPEC, *ancilla_steps(self.SPEC)).amps.copy()
-        amps[0] = complex(math.nan, 0.0)
+        particles, modes = evolve_sector(self.SPEC, *ancilla_steps(self.SPEC))
+        particles[0] = complex(math.nan, 0.0)
         message = rf"^branch probability sum nan is not 1\.0 within {PROB_MATCH_TOL}$"
         with pytest.raises(ToleranceError, match=message):
-            distill(self.SPEC, SectorState(self.SPEC.n, amps), np.zeros(3))
+            distill(self.SPEC, particles, modes, np.zeros(3))
 
 
 class TestPhaseCorrection:
