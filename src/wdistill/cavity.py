@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,8 +40,10 @@ class JCParams:
 
     def __post_init__(self):
         for name in ("omega", "epsilon"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):  # float() would take a bool or a str
+                raise ValidationError(f"{name} must be a real number, got {v!r}")
+            if not math.isfinite(v := float(v)):
                 raise ValidationError(f"{name} must be finite")
             object.__setattr__(self, name, v)
         if self.epsilon <= 0:

@@ -41,34 +41,26 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 # report rendering: key-sorted JSON with fixed 17-significant-digit floats
 
+class _Rows(dict):
+    """A table as equal-length named columns, {key: column}; renders as one object per row."""
+
+
 def _render(value, level: int = 0) -> str:
     pad, inner = "  " * level, "  " * (level + 1)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
-        if not math.isfinite(value):
-            return "null"
-        return format(value, ".17g")
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
+        return format(value, ".17g") if math.isfinite(value) else "null"
+    if isinstance(value, _Rows):
+        keys = sorted(value)
+        row = inner + "{\n" + ",\n".join(f"{inner}  {json.dumps(k)}: %s" for k in keys) + "\n" + inner + "}"
+        rows = zip(*(map(_render, value[k]) for k in keys))
+        return "[\n" + ",\n".join(row % cells for cells in rows) + "\n" + pad + "]"
+    if isinstance(value, list):
         items = ",\n".join(inner + _render(v, level + 1) for v in value)
         return "[\n" + items + "\n" + pad + "]"
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = ",\n".join(
-            f"{inner}{json.dumps(str(k))}: {_render(value[k], level + 1)}"
-            for k in sorted(value, key=str)
-        )
+        items = ",\n".join(f"{inner}{json.dumps(k)}: {_render(value[k], level + 1)}" for k in sorted(value))
         return "{\n" + items + "\n" + pad + "}"
-    raise TypeError(f"cannot render {type(value)!r}")
+    return json.dumps(value)  # None, bool, int, str
 
 
 def render_report(doc: dict) -> str:
@@ -161,18 +153,13 @@ def load_spec(path: str, allow_unnormalized: bool = False) -> tuple[WPrimeSpec, 
 # ---------------------------------------------------------------------------
 # report assembly
 
-def _outcome_rows(spec: WPrimeSpec, key: str, success, per_mode) -> list[dict]:
-    """One row per outcome with a nonzero value: success ("fired": null), then
-    each mode that fired, named by its party's 1-based index, ascending."""
+def _outcome_rows(spec: WPrimeSpec, key: str, success, per_mode) -> _Rows:
+    """The outcomes with a nonzero value: success ("fired": null), then each
+    mode that fired, named by its party's 1-based index, ascending."""
     modes = np.flatnonzero(per_mode)
-    parties = (spec.acting[modes] + 1).tolist()
-    rows = [{"fired": None, key: success}] if success else []
-    return rows + [{"fired": k, key: v} for k, v in zip(parties, np.asarray(per_mode)[modes].tolist())]
-
-
-def _branch_rows(spec: WPrimeSpec, report: DistillationReport) -> list[dict]:
-    fire = report.fire_probabilities
-    return _outcome_rows(spec, "probability", report.success_probability_exact, fire)
+    head = [None] if success else []
+    values = np.asarray(per_mode)[modes].tolist()
+    return _Rows({"fired": head + (spec.acting[modes] + 1).tolist(), key: [success] * len(head) + values})
 
 
 def _base_report(spec: WPrimeSpec, factor: float, scheme: str) -> dict:
@@ -193,7 +180,9 @@ def _exact_report(spec: WPrimeSpec, factor: float, scheme: str, report: Distilla
             "success_probability_analytic": report.success_probability_analytic,
             "success_probability_exact": report.success_probability_exact,
             "fidelity_with_w": report.fidelity_with_w,
-            "branches": _branch_rows(spec, report),
+            "branches": _outcome_rows(
+                spec, "probability", report.success_probability_exact, report.fire_probabilities
+            ),
         }
     )
     return doc
@@ -221,8 +210,7 @@ def cmd_cavity(args) -> int:
     report = run_physical(spec, params)
     doc = _exact_report(spec, factor, "cavity", report)
     doc["jc_params"] = asdict(params)
-    users = (spec.acting + 1).tolist()
-    doc["steps"] = [{"user": k, "delta_t": t} for k, t in zip(users, report.cavity_steps.tolist())]
+    doc["steps"] = _Rows(user=(spec.acting + 1).tolist(), delta_t=report.cavity_steps.tolist())
     _emit(render_report(doc), args.out)
     return EXIT_OK
 

@@ -224,6 +224,8 @@ def confidence_interval(stats: TrialStats, z: float) -> tuple[float, float]:
     """
     if stats.trials < 1:
         raise ValidationError("need at least one trial")
+    if not 0 <= z < math.inf:
+        raise ValidationError(f"z must be finite and >= 0, got {z!r}")
     n = stats.trials
     p = stats.empirical_p
     denom = 1.0 + z * z / n

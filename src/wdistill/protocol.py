@@ -62,7 +62,13 @@ class WPrimeSpec:
     acting: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        coeffs = np.array(self.coeffs, dtype=np.complex128)
+        try:  # numpy parses numeric strings as numbers
+            raw = np.asarray(self.coeffs)
+            if raw.dtype.kind in "SU" or raw.dtype == object and any(isinstance(c, (str, bytes)) for c in raw.flat):
+                raise TypeError("a str or bytes entry")
+            coeffs = np.array(raw, dtype=np.complex128)
+        except (TypeError, ValueError) as exc:
+            raise SpecError(f"coefficients must be numbers ({exc})") from None
         if coeffs.ndim != 1:
             raise SpecError(f"coefficients must form a 1-D array, got shape {coeffs.shape}")
         if len(coeffs) < 2:

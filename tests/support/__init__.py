@@ -10,12 +10,13 @@ those matrices, plus the Jaynes-Cummings Hamiltonian whose
 eigendecomposition checks the closed-form propagator; `sampler` is the
 matrix-form Monte Carlo sampler the streaming one is checked against;
 `ingest` is the list-based coefficient-file loader the array one in
-wdistill.cli is checked against.
+wdistill.cli is checked against; `render` is the row-dict report renderer
+the column one in wdistill.cli is checked against.
 Nothing here is imported by the package.
 """
 import numpy as np
 
-from wdistill.cli import _branch_rows
+from wdistill.cli import _outcome_rows
 
 
 class ShapeError(ValueError):
@@ -35,4 +36,8 @@ def fired_pattern(fired: int | None, n: int, min_index: int) -> tuple[int, ...]:
 def branch_rows(spec, report) -> dict[tuple[int, ...], dict]:
     """The branch rows the CLI writes for spec's sector report, in order,
     keyed by their outcome pattern spelled as the dense records spell it."""
-    return {fired_pattern(row["fired"], spec.n, spec.min_index): row for row in _branch_rows(spec, report)}
+    table = _outcome_rows(spec, "probability", report.success_probability_exact, report.fire_probabilities)
+    return {
+        fired_pattern(fired, spec.n, spec.min_index): {"fired": fired, "probability": p}
+        for fired, p in zip(table["fired"], table["probability"])
+    }

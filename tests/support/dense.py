@@ -5,7 +5,7 @@ The joint state is a full tensor-product vector of 2^(2N-1) amplitudes
 local matrix applied through statevec.apply_local, and the measurement
 walks all outcome patterns by chained projections, checking that every
 failure branch collapses the particles to |00...0>. States larger than
-statevec's WDISTILL_MAX_DIM cap (default 2^20 amplitudes) are refused.
+statevec's MAX_DIM cap (2^20 amplitudes) are refused.
 """
 from __future__ import annotations
 

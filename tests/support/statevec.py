@@ -11,7 +11,6 @@ renormalize garbage by accident.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,20 +20,9 @@ from wdistill.errors import ValidationError
 from . import ShapeError
 
 # Dense amplitudes: the largest system here is ~2^19 entries. The cap guards
-# against accidental huge allocations; override with WDISTILL_MAX_DIM.
-DEFAULT_MAX_DIM = 2**20
+# against accidental huge allocations.
+MAX_DIM = 2**20
 INGEST_NORM_TOL = 1e-9
-
-
-def _max_dim() -> int:
-    raw = os.environ.get("WDISTILL_MAX_DIM", str(DEFAULT_MAX_DIM))
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValidationError(f"WDISTILL_MAX_DIM must be a positive integer, got {raw!r}")
-    return cap
 
 
 @dataclass(frozen=True)
@@ -51,11 +39,8 @@ class SubsystemLayout:
             raise ValidationError("layout needs at least one site")
         if any(d < 2 for d in dims):
             raise ValidationError(f"every local dimension must be >= 2, got {dims}")
-        if math.prod(dims) > _max_dim():
-            raise ValidationError(
-                f"state dimension {math.prod(dims)} exceeds cap {_max_dim()} "
-                "(set WDISTILL_MAX_DIM to raise it)"
-            )
+        if math.prod(dims) > MAX_DIM:
+            raise ValidationError(f"state dimension {math.prod(dims)} exceeds cap {MAX_DIM}")
         if self.labels is not None:
             labels = tuple(str(s) for s in self.labels)
             if len(labels) != len(dims):

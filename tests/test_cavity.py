@@ -48,6 +48,22 @@ class TestJCParams:
         with pytest.raises(ValidationError, match="epsilon must be > 0"):
             JCParams(omega=5, epsilon=0.0)
 
+    def test_rejects_numeric_strings(self):
+        # float() parses them; a JCParams holds numbers only
+        with pytest.raises(ValidationError, match="omega must be a real number, got '50'"):
+            JCParams(omega="50", epsilon="1")
+
+    def test_rejects_booleans(self):
+        with pytest.raises(ValidationError, match="omega must be a real number, got True"):
+            JCParams(True, True)
+
+    def test_rejects_none_as_validation_error(self):
+        with pytest.raises(ValidationError, match="omega must be a real number, got None"):
+            JCParams(None, 1)
+
+    def test_takes_numpy_and_integer_reals(self):
+        assert JCParams(np.float64(50.0), np.int64(2)) == JCParams(50.0, 2.0)
+
 
 class TestJCModel:
     def test_rejects_zero_cutoff(self):

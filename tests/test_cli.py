@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import random_spec
+from support import render as reference
+from wdistill import cli
 from wdistill.cli import load_spec, main, render_report
 from wdistill.protocol import FIDELITY_TOL
 
@@ -60,6 +62,52 @@ class TestRender:
         values = [0.1, 1 / 3, 0.6, math.sqrt(2), 1e-17, 123456.789]
         parsed = json.loads(render_report({"v": values}))
         assert parsed["v"] == values
+
+    def test_non_finite_floats_render_null(self):
+        text = render_report({"v": [math.inf, -math.inf, math.nan]})
+        assert text == '{\n  "v": [\n    null,\n    null,\n    null\n  ]\n}\n'
+
+    @staticmethod
+    def as_row_dicts(doc: dict) -> dict:
+        return {
+            k: [dict(zip(v, cells)) for cells in zip(*v.values())] if isinstance(v, cli._Rows) else v
+            for k, v in doc.items()
+        }
+
+    def render_both(self, monkeypatch, capsys, argv) -> tuple[str, str]:
+        """A command's report bytes, and the reference rendering of the
+        document it built with its tables expanded to row dicts."""
+        docs = []
+        monkeypatch.setattr(cli, "render_report", lambda doc: docs.append(doc) or render_report(doc))
+        code, out = run_cli(capsys, *argv)
+        assert code == 0 and len(docs) == 1
+        return out, reference.render_report(self.as_row_dicts(docs[0]))
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize(
+        "command",
+        [["distill"], ["cavity"], ["sample", "--scheme", "abstract"], ["sample", "--scheme", "cavity"]],
+        ids=["distill", "cavity", "sample_abstract", "sample_cavity"],
+    )
+    def test_matches_row_dict_reference(self, monkeypatch, capsys, tmp_path, command, seed):
+        # N from 2 to 300; some parties share the minimum magnitude, so some modes never
+        # fire and their rows are left out
+        rng = np.random.default_rng(seed)
+        n = (2, 300)[seed] if seed < 2 else int(rng.integers(2, 301))
+        weights = rng.uniform(0.2, 1.0, n)
+        weights[rng.integers(0, n, n // 3)] = weights.min()
+        coeffs = np.sqrt(weights) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
+        path = write_spec(tmp_path, {"coefficients": [[c.real, c.imag] for c in coeffs], "normalize": True})
+        flags = ["--trials", "3000", "--seed", str(seed)] if command[0] == "sample" else []
+        out, expected = self.render_both(monkeypatch, capsys, [command[0], path, *command[1:], *flags])
+        assert out == expected
+
+    def test_single_failed_trial_matches_row_dict_reference(self, monkeypatch, capsys):
+        # seed 1's one trial fails at party 2: no success row, z_score = -inf
+        path = os.path.join(GOLDEN, "worked.json")
+        out, expected = self.render_both(monkeypatch, capsys, ["sample", path, "--trials", "1", "--seed", "1"])
+        assert out == expected
+        assert '"z_score": null' in out and '"fired": null' not in out
 
 
 class TestDistill:
@@ -273,10 +321,13 @@ class TestSample:
         assert doc["histogram"][0]["count"] == doc["successes"]
         assert doc["seed"] == 42
 
-    def test_single_trial(self, capsys, worked_path):
-        code, out = run_cli(capsys, "sample", worked_path, "--trials", "1", "--seed", "0")
+    def test_single_trial(self, capsys):
+        # one success: p = 1 with zero standard error, so z_score is +inf, written null
+        path = os.path.join(GOLDEN, "worked.json")
+        code, out = run_cli(capsys, "sample", path, "--trials", "1", "--seed", "0")
         assert code == 0
-        assert json.loads(out)["empirical_p"] in (0.0, 1.0)
+        for line in ('"empirical_p": 1,', '"std_error": 0,', '"z_score": null'):
+            assert f"\n  {line}" in out, line
 
     def test_histogram_lists_only_outcomes_that_occurred(self, capsys):
         # one trial each: seed 1 fails at party 2's mode, seed 3 at party 1's

@@ -15,7 +15,7 @@ from support.statevec import project_site, site_distribution
 from support.steps import JCModel
 from wdistill import montecarlo
 from wdistill.cavity import JCParams, jc_steps
-from wdistill.cli import _branch_rows, load_spec
+from wdistill.cli import _outcome_rows, load_spec
 from wdistill.errors import ToleranceError, ValidationError
 from wdistill.montecarlo import (
     TrialConfig,
@@ -124,7 +124,9 @@ class TestRunTrials:
     def test_histogram_matches_exact_branches(self, worked_spec):
         trials = 100_000
         stats = run_trials(worked_spec, TrialConfig(trials=trials, seed=5))
-        exact = {row["fired"]: row["probability"] for row in _branch_rows(worked_spec, run_exact(worked_spec))}
+        report = run_exact(worked_spec)
+        table = _outcome_rows(worked_spec, "probability", report.success_probability_exact, report.fire_probabilities)
+        exact = dict(zip(table["fired"], table["probability"]))
         # the worked spec's minimal party is the last: mode t belongs to party t + 1
         assert list(exact) == [None, 1, 2]
         counts = {None: stats.successes, 1: stats.fired[0], 2: stats.fired[1]}
@@ -465,6 +467,15 @@ class TestConfidenceInterval:
         assert hi == pytest.approx(oracle_hi, abs=1e-12)
         assert lo == pytest.approx(0.5903613659779724, abs=1e-12)
         assert hi == pytest.approx(0.6095618315264743, abs=1e-12)
+
+    @pytest.mark.parametrize("z", [-1.96, math.nan, math.inf])
+    def test_rejects_z_not_finite_and_nonnegative(self, z):
+        # -1.96 gave the inverted (0.635, 0.574), nan gave (0.0, 1.0)
+        with pytest.raises(ValidationError, match="z must be finite and >= 0"):
+            confidence_interval(self._stats(6000, 10_000), z)
+
+    def test_zero_z_is_the_point_estimate(self):
+        assert confidence_interval(self._stats(6000, 10_000), 0.0) == (0.6, 0.6)
 
     def test_contains_empirical_p(self):
         rng = np.random.default_rng(55)

@@ -99,6 +99,24 @@ class TestSpecValidation:
         with pytest.raises(SpecError, match=r"1-D"):
             WPrimeSpec(1.0)
 
+    @pytest.mark.parametrize(
+        "coeffs",
+        [["0.6", "0.8"], [b"0.6", b"0.8"], np.array([0.6, "0.8"], dtype=object)],
+        ids=["str", "bytes", "object_str"],
+    )
+    def test_rejects_string_entries(self, coeffs):
+        # numpy parses numeric strings as numbers; a spec holds numbers only
+        with pytest.raises(SpecError, match="coefficients must be numbers"):
+            WPrimeSpec(coeffs)
+
+    def test_failed_conversion_is_the_spec_error(self):
+        with pytest.raises(SpecError, match="coefficients must be numbers"):
+            WPrimeSpec(["a", "b"])
+
+    def test_unordered_collection_is_the_spec_error(self):
+        with pytest.raises(SpecError, match="coefficients must be numbers"):
+            WPrimeSpec({0.6, 0.8})
+
     def test_overflowing_norm_is_the_spec_error(self):
         # |1e200|^2 overflows: the caller sees the norm check, no RuntimeWarning
         with pytest.raises(SpecError, match=r"^sum \|c_i\|\^2 = inf, expected 1 within 1e-9$"):
