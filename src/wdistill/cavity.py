@@ -43,7 +43,11 @@ class JCParams:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, numbers.Real):  # float() would take a bool or a str
                 raise ValidationError(f"{name} must be a real number, got {v!r}")
-            if not math.isfinite(v := float(v)):
+            try:
+                finite = math.isfinite(v := float(v))
+            except OverflowError:  # an int beyond the double range
+                finite = False
+            if not finite:
                 raise ValidationError(f"{name} must be finite")
             object.__setattr__(self, name, v)
         if self.epsilon <= 0:

@@ -1,4 +1,6 @@
-"""Seeded trajectory sampling of either protocol variant.
+"""Seeded trajectory sampling of the protocol. Both schemes rescale each
+acting party to min|c_i|, so their detections have the same statistics, and
+the sampler draws them from the abstract scheme's evolved state.
 
 Random stream construction (fixed, documented): trial i runs a SplitMix64
 sequence whose initial state is the mix of (seed + (i+1)*GAMMA); draw t of
@@ -36,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import JCParams, jc_steps
 from .errors import ToleranceError, ValidationError
 from .protocol import (
     WPrimeSpec,
@@ -63,11 +64,8 @@ def _usable_cpus() -> int:
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """params selects the scheme: None the abstract one, JCParams the cavity."""
-
     trials: int
     seed: int
-    params: JCParams | None = None
 
     def __post_init__(self):
         for name in ("trials", "seed"):
@@ -89,7 +87,6 @@ class TrialStats:
     trials: int
     successes: int
     empirical_p: float
-    analytic_p: float
     std_error: float
     z_score: float
     # entry t: the trials whose first failure was mode t, modes in measurement order
@@ -191,8 +188,7 @@ def _tally(seed: int, trials: int, limits: np.ndarray) -> tuple[int, np.ndarray]
 def run_trials(spec: WPrimeSpec, config: TrialConfig) -> TrialStats:
     """Sample config.trials runs of the protocol, deterministic given (spec,
     config): the successes, and per mode the trials in which it fired."""
-    steps = ancilla_steps(spec) if config.params is None else jc_steps(spec, config.params)[2:]
-    limits = _zero_limits(*evolve_sector(spec, *steps))
+    limits = _zero_limits(*evolve_sector(spec, *ancilla_steps(spec)))
     successes, fired = _tally(config.seed, config.trials, limits)
 
     empirical = successes / config.trials
@@ -208,7 +204,6 @@ def run_trials(spec: WPrimeSpec, config: TrialConfig) -> TrialStats:
         trials=config.trials,
         successes=successes,
         empirical_p=empirical,
-        analytic_p=analytic,
         std_error=std_error,
         z_score=z,
         fired=tuple(fired.tolist()),

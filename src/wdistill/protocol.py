@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,10 +63,13 @@ class WPrimeSpec:
     acting: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        try:  # numpy parses numeric strings as numbers
-            raw = np.asarray(self.coeffs)
-            if raw.dtype.kind in "SU" or raw.dtype == object and any(isinstance(c, (str, bytes)) for c in raw.flat):
-                raise TypeError("a str or bytes entry")
+        try:  # numpy parses numeric strings as numbers, and reads a bool as 0 or 1
+            # as objects, a list's entries keep their types: [True, 0.5] would convert to floats
+            raw = self.coeffs if isinstance(self.coeffs, np.ndarray) else np.array(self.coeffs, dtype=object)
+            if raw.dtype.kind in "SUb" or raw.dtype == object and any(
+                isinstance(c, (str, bytes, bool, np.bool_)) for c in raw.flat
+            ):
+                raise TypeError("a str, bytes or bool entry")
             coeffs = np.array(raw, dtype=np.complex128)
         except (TypeError, ValueError) as exc:
             raise SpecError(f"coefficients must be numbers ({exc})") from None
@@ -108,7 +112,6 @@ class WPrimeSpec:
 @dataclass(frozen=True)
 class DistillationReport:
     success_probability_exact: float
-    success_probability_analytic: float
     # entry t: probability that mode t reads 1, i.e. of the failure branch
     # in which mode t alone fired; success is every mode reading 0
     fire_probabilities: np.ndarray
@@ -123,6 +126,12 @@ class DistillationReport:
 def make_w_state(n: int) -> np.ndarray:
     """Amplitudes of the uniform n-party W state, 1/sqrt(n) each (entry m:
     party m excited)."""
+    try:
+        if isinstance(n, bool):  # an int subclass, but no party count
+            raise TypeError
+        n = operator.index(n)
+    except TypeError:
+        raise ValidationError(f"n must be an integer, got {n!r}") from None
     if n < 2:
         raise ValidationError(f"W state needs n >= 2, got {n}")
     return np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
@@ -210,13 +219,27 @@ def phase_correction(amps, phases) -> np.ndarray:
     Multiplies entry m by e^{-i phases[m]}, then strips the global phase so
     the amplitude of |10...0> is real positive. Phases come from an explicit
     ledger rather than from arg() of the amplitudes, which would be
-    ill-conditioned near zero.
+    ill-conditioned near zero. Both must be finite 1-D arrays of one
+    nonempty shape.
     """
-    amps = np.array(amps, dtype=np.complex128)
-    phases = np.asarray(phases, dtype=np.float64)
-    if phases.shape != amps.shape:
-        raise ValidationError(f"{phases.shape} phases for {amps.shape} amplitudes")
-    amps *= np.exp(-1j * phases)
+    try:
+        amps = np.asarray(amps, dtype=np.complex128)
+        phases = np.asarray(phases, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"amplitudes and phases must be numbers ({exc})") from None
+    if amps.ndim != 1 or not len(amps) or phases.shape != amps.shape:
+        raise ValidationError(
+            f"need 1-D amplitudes and phases of one nonempty shape, got {amps.shape}, {phases.shape}"
+        )
+    if not (np.isfinite(amps).all() and np.isfinite(phases).all()):
+        raise ValidationError("amplitudes and phases must be finite")
+    return _undo_phases(amps, phases)
+
+
+def _undo_phases(amps: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """phase_correction unchecked, for distill: a non-finite ledger entry is
+    an internal fault, which the fidelity check reports."""
+    amps = amps * np.exp(-1j * phases)
     head = amps[0]
     if abs(head) == 0.0:
         raise ValidationError("amplitude of |10...0> vanishes; global phase undefined")
@@ -259,12 +282,11 @@ def distill(spec: WPrimeSpec, particles, modes, phases: np.ndarray) -> Distillat
     if success_particles is None:
         raise ToleranceError("success branch has zero probability for a valid specification")
 
-    final_state = phase_correction(success_particles, phases)
+    final_state = _undo_phases(success_particles, phases)
     fid = fidelity(final_state, make_w_state(spec.n))
     _check("corrected output fidelity", fid, 1.0, FIDELITY_TOL)
     return DistillationReport(
         success_probability_exact=success_prob,
-        success_probability_analytic=analytic,
         fire_probabilities=fire,
         final_state=final_state,
         fidelity_with_w=fid,

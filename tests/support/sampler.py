@@ -77,10 +77,8 @@ def trial_uniforms(seed: int, trials: int, draws: int) -> np.ndarray:
 def run_trials(spec: WPrimeSpec, config: TrialConfig, model: JCModel | None = None) -> TrialStats:
     """Sample config.trials runs of the protocol and tally the outcomes.
 
-    model is the cavity model config.params came from, whose cutoff sets the
-    outcomes per mode; None with the abstract scheme's config."""
-    if config.params != (None if model is None else model.params):
-        raise ValueError("config.params must be model.params")
+    model selects the CDFs (zero_prefix_cdfs): None the abstract scheme's,
+    else the cavity scheme's, whose cutoff sets the outcomes per mode."""
     cdfs = zero_prefix_cdfs(spec, model)
     n_steps = len(cdfs)
 
@@ -109,7 +107,6 @@ def run_trials(spec: WPrimeSpec, config: TrialConfig, model: JCModel | None = No
         trials=config.trials,
         successes=successes,
         empirical_p=empirical,
-        analytic_p=analytic,
         std_error=std_error,
         z_score=z,
         fired=tuple(int(c) for c in fired),

@@ -33,7 +33,8 @@ REMOVED = (
     "_zero_prefix_cdfs",
     "from_coefficients",
     # the detuned, truncated JC model (JCModel) lives on in tests/support/steps.py;
-    # TrialConfig.params alone selects the sampled scheme
+    # both schemes detect with the same statistics, so nothing selects the
+    # sampled scheme (test_sampler_reads_no_scheme)
     "UnsupportedModeError",
     "RESONANCE_TOL",
     "SCHEMES",
@@ -55,6 +56,10 @@ REMOVED = (
     # evolve_sector returns the two arrays (particles, modes) that every
     # consumer reads directly
     "SectorState",
+    # N min|c_i|^2 is a fact of the spec (analytic_success_probability), which
+    # the CLI reads once per report
+    "success_probability_analytic",
+    "analytic_p",
 )
 # dense state-vector names: the package runs in the single-excitation sector,
 # and these live on only as the test oracle in tests/support
@@ -79,7 +84,13 @@ def test_every_exported_name_resolves():
 @pytest.mark.parametrize("name", REMOVED)
 def test_removed_name_is_gone(name):
     assert name not in wdistill.__all__
-    owners = (protocol.WPrimeSpec, cavity.JCParams, montecarlo.TrialConfig, montecarlo.TrialStats)
+    owners = (
+        protocol.WPrimeSpec,
+        protocol.DistillationReport,
+        cavity.JCParams,
+        montecarlo.TrialConfig,
+        montecarlo.TrialStats,
+    )
     for owner in (*MODULES, *owners):
         assert not hasattr(owner, name), f"{owner.__name__}.{name}"
         # a dataclass field without a default is no class attribute
@@ -98,6 +109,12 @@ def test_report_does_not_echo_the_minimal_party():
     fields = {f.name for f in dataclasses.fields(protocol.DistillationReport)}
     assert "min_index" not in fields
     assert "min_index" in {f.name for f in dataclasses.fields(protocol.WPrimeSpec)}
+
+
+def test_sampler_reads_no_scheme():
+    # the sampler draws from the abstract scheme's state, whichever scheme a run names
+    assert [f.name for f in dataclasses.fields(montecarlo.TrialConfig)] == ["trials", "seed"]
+    assert not {"cavity", "JCParams", "jc_steps"} & set(vars(montecarlo))
 
 
 def test_sector_state_has_no_mode_dimension():

@@ -64,6 +64,16 @@ class TestJCParams:
     def test_takes_numpy_and_integer_reals(self):
         assert JCParams(np.float64(50.0), np.int64(2)) == JCParams(50.0, 2.0)
 
+    @pytest.mark.parametrize(
+        "omega,epsilon,name",
+        [(10**400, 1, "omega"), (-(10**400), 1, "omega"), (50, 10**400, "epsilon")],
+        ids=["omega", "negative_omega", "epsilon"],
+    )
+    def test_integer_beyond_the_double_range_is_not_finite(self, omega, epsilon, name):
+        # float() of such an int raises OverflowError, which used to escape
+        with pytest.raises(ValidationError, match=f"^{name} must be finite$"):
+            JCParams(omega, epsilon)
+
 
 class TestJCModel:
     def test_rejects_zero_cutoff(self):

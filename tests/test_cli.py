@@ -248,6 +248,13 @@ class TestCavity:
             (["sample", "--scheme", "cavity", "--epsilon", "5e-309"], tiny_coupling(5e-309)),
             # omega * dt is 0 * inf, NaN: rejected, and no RuntimeWarning leaks (an error here)
             (["cavity", "--omega", "0", "--epsilon", "5e-324"], tiny_coupling(5e-324, 0.0)),
+            # sample --scheme cavity refuses each coupling that cavity refuses
+            (["sample", "--scheme", "cavity", "--epsilon", "1e-308"], tiny_coupling(1e-308)),
+            (
+                ["sample", "--scheme", "cavity", "--epsilon", "1e-300", "--omega", "1e9"],
+                tiny_coupling(1e-300, 1e9),
+            ),
+            (["sample", "--scheme", "cavity", "--omega", "0", "--epsilon", "5e-324"], tiny_coupling(5e-324, 0.0)),
         ],
     )
     def test_bad_jc_flags_exit_2(self, capsys, worked_path, argv, message):
@@ -352,6 +359,18 @@ class TestSample:
         assert doc["scheme"] == "cavity"
         assert doc["jc_params"] == {"omega": 50.0, "epsilon": 1.0}
         assert abs(doc["empirical_p"] - 0.6) <= 4 * math.sqrt(0.6 * 0.4 / 20_000)
+
+    @pytest.mark.parametrize("flags", [[], ["--epsilon", "1e-300", "--omega", "1e8", "--fock", "3"]])
+    @pytest.mark.parametrize("n", [2, 7, 64])
+    def test_cavity_report_is_the_abstract_one_plus_jc_params(self, capsys, tmp_path, n, flags):
+        # both schemes detect with the same statistics: one sampler, one report
+        path, _ = random_spec_file(tmp_path, n, seed=n)
+        args = ("sample", path, "--trials", "50000", "--seed", str(n))
+        abstract = json.loads(run_cli(capsys, *args)[1])
+        cavity = json.loads(run_cli(capsys, *args, "--scheme", "cavity", *flags)[1])
+        assert (cavity.pop("scheme"), abstract.pop("scheme")) == ("cavity", "abstract")
+        assert set(cavity.pop("jc_params")) == {"epsilon", "omega"}
+        assert cavity == abstract
 
     @pytest.mark.parametrize("command", ["cavity", "sample"])
     @pytest.mark.parametrize(

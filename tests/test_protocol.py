@@ -109,6 +109,22 @@ class TestSpecValidation:
         with pytest.raises(SpecError, match="coefficients must be numbers"):
             WPrimeSpec(coeffs)
 
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            [True, 1e-5],
+            [np.True_, 0.5],
+            np.array([True, False]),
+            np.array([0.6, True], dtype=object),
+            np.array([np.True_, 0.8], dtype=object),
+        ],
+        ids=["bool", "np_bool", "bool_array", "object_bool", "object_np_bool"],
+    )
+    def test_rejects_bool_entries(self, coeffs):
+        # numpy reads a bool as 1.0 or 0.0: [True, 1e-5] ran as [1.0, 1e-5]
+        with pytest.raises(SpecError, match=r"^coefficients must be numbers \(a str, bytes or bool entry\)$"):
+            WPrimeSpec(coeffs)
+
     def test_failed_conversion_is_the_spec_error(self):
         with pytest.raises(SpecError, match="coefficients must be numbers"):
             WPrimeSpec(["a", "b"])
@@ -161,6 +177,15 @@ class TestMakeWState:
     def test_rejects_single_party(self):
         with pytest.raises(ValidationError):
             make_w_state(1)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "3", None])
+    def test_rejects_a_non_integer(self, n):
+        # 2.5 reached numpy's np.full and raised its bare TypeError
+        with pytest.raises(ValidationError, match=rf"^n must be an integer, got {n!r}$"):
+            make_w_state(n)
+
+    def test_takes_numpy_integers(self):
+        np.testing.assert_array_equal(make_w_state(np.int64(3)), make_w_state(3))
 
 
 class TestBuildStepUnitary:
@@ -491,8 +516,8 @@ class TestDistillChecks:
         coeffs = np.array(coeffs) * math.sqrt(norm_sq / sum(abs(c) ** 2 for c in coeffs))
         spec = WPrimeSpec(coeffs)
         report = run(spec)
-        analytic = spec.n * spec.min_magnitude**2
-        assert report.success_probability_analytic == analytic
+        analytic = analytic_success_probability(spec)
+        assert analytic == spec.n * spec.min_magnitude**2
         assert abs(report.success_probability_exact - analytic / norm_sq) <= PROB_MATCH_TOL
         assert abs(analytic - analytic / norm_sq) > PROB_MATCH_TOL
 
@@ -546,6 +571,27 @@ class TestPhaseCorrection:
             phase_correction(make_w_state(3), np.zeros(4))
         with pytest.raises(ValidationError):
             phase_correction(np.array([0.0, 1.0]), np.zeros(2))
+
+    def test_rejects_amplitudes_that_are_not_1d(self):
+        # a (1, 2) head made abs(head) == 0.0 an ambiguous truth value
+        with pytest.raises(ValidationError, match=r"^need 1-D amplitudes and phases of one nonempty shape"):
+            phase_correction([[1, 2]], [[0, 0]])
+        with pytest.raises(ValidationError, match=r"one nonempty shape, got \(0,\), \(0,\)$"):
+            phase_correction([], [])
+
+    @pytest.mark.parametrize(
+        "amps,phases", [([math.nan, 1], [0, 0]), ([1, complex(0, math.inf)], [0, 0]), ([1, 1], [0, math.nan])]
+    )
+    def test_rejects_non_finite_input(self, amps, phases):
+        # a NaN head leaked a RuntimeWarning and returned NaNs
+        with pytest.raises(ValidationError, match="^amplitudes and phases must be finite$"):
+            phase_correction(amps, phases)
+
+    @pytest.mark.parametrize("amps,phases", [(["a", 1], [0, 0]), ([1, 1], ["x", 0]), ([[1], [1, 2]], [0, 0])])
+    def test_rejects_input_that_is_no_array_of_numbers(self, amps, phases):
+        # numpy's own ValueError escaped
+        with pytest.raises(ValidationError, match="^amplitudes and phases must be numbers"):
+            phase_correction(amps, phases)
 
     def test_rejects_support_outside_single_excitation(self):
         # only the dense representation can hold such a state
