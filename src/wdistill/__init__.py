@@ -18,7 +18,6 @@ from .protocol import (
     WPrimeSpec,
     analytic_success_probability,
     make_w_state,
-    phase_correction,
     run_exact,
 )
 
@@ -31,7 +30,6 @@ __all__ = [
     "analytic_success_probability",
     "confidence_interval",
     "make_w_state",
-    "phase_correction",
     "run_exact",
     "run_physical",
     "run_trials",

@@ -72,7 +72,7 @@ def jc_steps(
     """
     # |c_k| is rounded as min|c_i| was (spec.magnitudes): a party tied at
     # the minimum gets ratio 1 and dt = 0 exactly
-    r = np.minimum(1.0, spec.min_magnitude / spec.magnitudes[spec.acting])
+    r = spec.min_magnitude / spec.magnitudes[spec.acting]
     # libm acos: np.arccos's SIMD path rounds some inputs differently (see run_physical)
     with np.errstate(over="ignore", invalid="ignore"):  # dt = inf, w dt = 0 * inf: rejected below
         dt = np.fromiter(map(math.acos, r.tolist()), np.float64, len(r)) / params.epsilon

@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .cavity import JCParams, jc_steps, run_physical
 from .errors import SpecError, ToleranceError, ValidationError
-from .montecarlo import TrialConfig, confidence_interval, run_trials
+from .montecarlo import WILSON_Z, TrialConfig, confidence_interval, run_trials
 from .protocol import DistillationReport, WPrimeSpec, analytic_success_probability, make_w_state, run_exact
 
 EXIT_OK = 0
@@ -31,7 +31,6 @@ EXIT_NUMERICAL = 3
 # 3: a row per outcome names the party whose mode fired; jc_params is {epsilon, omega}
 REPORT_SCHEMA = 3
 FILE_NORM_TOL = 1e-6
-WILSON_Z = 1.96
 
 
 class UsageError(Exception):
@@ -227,7 +226,7 @@ def cmd_sample(args) -> int:
     if cavity:  # both schemes sample alike, but only at a coupling `cavity` accepts
         jc_steps(spec, params)
     stats = run_trials(spec, TrialConfig(trials=args.trials, seed=args.seed))
-    lo, hi = confidence_interval(stats, WILSON_Z)
+    lo, hi = confidence_interval(stats)
     doc = _base_report(spec, factor, args.scheme)
     doc.update(
         {
@@ -262,10 +261,8 @@ def cmd_sweep(args) -> int:
         rest = math.sqrt((1.0 - m) / (n - 1))
         spec = WPrimeSpec([rest] * (n - 1) + [math.sqrt(m)])
         report = run_exact(spec)
-        lines.append(
-            f"{format(m, '.17g')},{format(analytic_success_probability(spec), '.17g')},"
-            f"{format(report.success_probability_exact, '.17g')}"
-        )
+        values = (m, analytic_success_probability(spec), report.success_probability_exact)
+        lines.append(",".join(map(_render, values)))
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

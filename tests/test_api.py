@@ -1,6 +1,8 @@
 import dataclasses
 import importlib
 import inspect
+import json
+import os
 
 import pytest
 
@@ -60,6 +62,8 @@ REMOVED = (
     # the CLI reads once per report
     "success_probability_analytic",
     "analytic_p",
+    # distill's one phase step is protocol.phase_correction
+    "_undo_phases",
 )
 # dense state-vector names: the package runs in the single-excitation sector,
 # and these live on only as the test oracle in tests/support
@@ -115,6 +119,24 @@ def test_sampler_reads_no_scheme():
     # the sampler draws from the abstract scheme's state, whichever scheme a run names
     assert [f.name for f in dataclasses.fields(montecarlo.TrialConfig)] == ["trials", "seed"]
     assert not {"cavity", "JCParams", "jc_steps"} & set(vars(montecarlo))
+
+
+def test_phase_step_is_not_exported():
+    # distill's phase step, protocol.phase_correction, is no user-facing tool
+    assert "phase_correction" not in wdistill.__all__
+    assert not hasattr(wdistill, "phase_correction")
+    assert callable(protocol.phase_correction)
+
+
+def test_confidence_interval_takes_only_the_stats():
+    # z is the fixed montecarlo.WILSON_Z
+    assert list(inspect.signature(montecarlo.confidence_interval).parameters) == ["stats"]
+
+
+def test_sample_echoes_the_fixed_wilson_z(capsys):
+    spec = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "worked.json")
+    assert cli.main(["sample", spec, "--trials", "100"]) == 0
+    assert json.loads(capsys.readouterr().out)["wilson_z"] == montecarlo.WILSON_Z
 
 
 def test_sector_state_has_no_mode_dimension():

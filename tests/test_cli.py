@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -446,6 +447,25 @@ class TestWState:
         assert lines[0] == "0" * 24 + "1 0.20000000"
         assert lines[-1] == "1" + "0" * 24 + " 0.20000000"
         assert len(lines) == 25
+
+
+class TestEntry:
+    """The console script `wdistill` (pyproject.toml) runs cli.entry."""
+
+    @pytest.mark.parametrize("argv,code", [(["wstate", "--n", "3"], 0), (["wstate", "--n", "1"], 1)])
+    def test_exits_with_the_code_of_main(self, monkeypatch, argv, code):
+        monkeypatch.setattr(sys, "argv", ["wdistill", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == code
+
+    def test_console_script_resolves(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["wdistill"]
+        module, _, attr = target.partition(":")
+        assert getattr(importlib.import_module(module), attr) is cli.entry
 
 
 class TestLargeN:

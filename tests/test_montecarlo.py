@@ -444,29 +444,26 @@ class TestConfidenceInterval:
         )
 
     def test_all_successes_hits_upper_boundary(self):
-        lo, hi = confidence_interval(self._stats(100, 100), 1.96)
+        lo, hi = confidence_interval(self._stats(100, 100))
         assert hi == 1.0 and 0.0 <= lo < 1.0
 
     def test_no_successes_hits_lower_boundary(self):
-        lo, hi = confidence_interval(self._stats(0, 100), 1.96)
+        lo, hi = confidence_interval(self._stats(0, 100))
         assert lo == 0.0 and 0.0 < hi <= 1.0
 
     def test_worked_numeric_example(self):
-        lo, hi = confidence_interval(self._stats(6000, 10_000), 1.96)
+        lo, hi = confidence_interval(self._stats(6000, 10_000))
         oracle_lo, oracle_hi = wilson_oracle(0.6, 10_000, 1.96)
         assert lo == pytest.approx(oracle_lo, abs=1e-12)
         assert hi == pytest.approx(oracle_hi, abs=1e-12)
         assert lo == pytest.approx(0.5903613659779724, abs=1e-12)
         assert hi == pytest.approx(0.6095618315264743, abs=1e-12)
 
-    @pytest.mark.parametrize("z", [-1.96, math.nan, math.inf])
-    def test_rejects_z_not_finite_and_nonnegative(self, z):
-        # -1.96 gave the inverted (0.635, 0.574), nan gave (0.0, 1.0)
-        with pytest.raises(ValidationError, match="z must be finite and >= 0"):
-            confidence_interval(self._stats(6000, 10_000), z)
-
-    def test_zero_z_is_the_point_estimate(self):
-        assert confidence_interval(self._stats(6000, 10_000), 0.0) == (0.6, 0.6)
+    def test_rejects_zero_trials(self):
+        # TrialStats is public, so a caller can build one with no trials
+        stats = TrialStats(trials=0, successes=0, empirical_p=0.0, std_error=0.0, z_score=0.0, fired=(), seed=0)
+        with pytest.raises(ValidationError, match="^need at least one trial$"):
+            confidence_interval(stats)
 
     def test_contains_empirical_p(self):
         rng = np.random.default_rng(55)
@@ -474,5 +471,5 @@ class TestConfidenceInterval:
             trials = int(rng.integers(1, 5000))
             successes = int(rng.integers(0, trials + 1))
             stats = self._stats(successes, trials)
-            lo, hi = confidence_interval(stats, 1.96)
+            lo, hi = confidence_interval(stats)
             assert 0.0 <= lo <= stats.empirical_p <= hi <= 1.0
