@@ -12,9 +12,11 @@ single-excitation sector as the abstract scheme: atom k's pass acts on
 {|e,0>, |g,1>} as a 2x2 Rabi rotation and on |g,0> as a phase, however
 many photons the cavity could hold, and jc_steps gives those entries in
 closed form. That closed form is the resonant model, mode and atomic
-transition both at w, so w and the coupling eps are all a result depends on.
-The Ramsey repair is one array of phases, one entry per atom, built from the
-same reduced angles the passes apply (see run_physical).
+transition both at w, so w and the coupling eps are all the state depends
+on. The outcome probabilities are the abstract scheme's, from the magnitudes
+alone (protocol.measure_all_branches). The Ramsey repair is one array of
+phases, one entry per atom, built from the same reduced angles the passes
+apply (see run_physical).
 
 hbar = 1 throughout.
 """
@@ -24,6 +26,7 @@ import cmath
 import math
 import numbers
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -65,17 +68,19 @@ def jc_steps(
     no measurement sees, the excited atom keeps keep = e^{-i theta}
     cos(eps dt) and hands fire = -i e^{-i theta} sin(eps dt) to its
     cavity, where theta = w dt reduced mod 2 pi is the Ramsey angle
-    the repair undoes. dt_k = arccos(r_k) / eps with r_k = min|c_i| /
-    |c_k|, and keep takes r_k for cos(eps dt_k): cos(arccos r) errs by an
-    ulp of 1, not of r. Arrays are in spec.acting order.
+    the repair undoes. dt_k = atan2(s_k, min|c_i|) / eps, s_k^2 =
+    spec.mode_weights[k], is arccos(r_k) / eps with r_k = min|c_i| / |c_k|
+    but keeps its digits as r_k nears 1; keep takes r_k for cos(eps dt_k),
+    which errs by an ulp of 1, not of r. Arrays are in spec.acting order.
     Raises ValidationError if a dt or w dt is not finite.
     """
     # |c_k| is rounded as min|c_i| was (spec.magnitudes): a party tied at
-    # the minimum gets ratio 1 and dt = 0 exactly
+    # the minimum gets ratio 1, s_k = 0 and dt = 0 exactly
     r = spec.min_magnitude / spec.magnitudes[spec.acting]
-    # libm acos: np.arccos's SIMD path rounds some inputs differently (see run_physical)
+    # libm atan2: numpy's SIMD paths may round some inputs differently (see run_physical)
+    angles = map(math.atan2, np.sqrt(spec.mode_weights).tolist(), repeat(spec.min_magnitude))
     with np.errstate(over="ignore", invalid="ignore"):  # dt = inf, w dt = 0 * inf: rejected below
-        dt = np.fromiter(map(math.acos, r.tolist()), np.float64, len(r)) / params.epsilon
+        dt = np.fromiter(angles, np.float64, len(r)) / params.epsilon
         angle = params.omega * dt
     if not np.isfinite(angle).all():  # w dt is finite only where dt is
         raise ValidationError(

@@ -1,6 +1,7 @@
 """Seeded trajectory sampling of the protocol. Both schemes rescale each
 acting party to min|c_i|, so their detections have the same statistics, and
-the sampler draws them from the abstract scheme's evolved state.
+the sampler draws them from the real weights of the magnitudes
+(protocol.zero_prefix_weights); it evolves no state.
 
 Random stream construction (fixed, documented): trial i runs a SplitMix64
 sequence whose initial state is the mix of (seed + (i+1)*GAMMA); draw t of
@@ -39,13 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ToleranceError, ValidationError
-from .protocol import (
-    WPrimeSpec,
-    analytic_success_probability,
-    ancilla_steps,
-    evolve_sector,
-    zero_prefix_weights,
-)
+from .protocol import WPrimeSpec, analytic_success_probability, zero_prefix_weights
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 # trials per chunk: bounds each worker's memory, never the results
@@ -106,7 +101,7 @@ def _mix64(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return np.bitwise_xor(x, np.right_shift(x, np.uint64(31), out=scratch), out=x)
 
 
-def _zero_limits(particles, modes) -> np.ndarray:
+def _zero_limits(spec: WPrimeSpec) -> np.ndarray:
     """Integer form of the inverse-CDF rule: draw h reads 0 at step t iff
     (h >> 11) < limits[t].
 
@@ -116,12 +111,10 @@ def _zero_limits(particles, modes) -> np.ndarray:
     iff k < q_t * 2^53; for an integer k that is k < ceil(q_t * 2^53), a
     limit <= 2^53.
     """
-    remaining = zero_prefix_weights(particles, modes)[1]
+    remaining = zero_prefix_weights(spec)
     # the weights are nonnegative partial sums: any NaN or inf reaches the total
     if not math.isfinite(remaining[0]):
         raise ToleranceError(f"state weight {float(remaining[0])!r} is not finite")
-    if remaining[-1] == 0.0:
-        raise ToleranceError("all-zero measurement prefix has zero probability")
     return np.ceil(remaining[1:] / remaining[:-1] * 2.0**53).astype(np.uint64)
 
 
@@ -190,7 +183,7 @@ def _tally(seed: int, trials: int, limits: np.ndarray) -> tuple[int, np.ndarray]
 def run_trials(spec: WPrimeSpec, config: TrialConfig) -> TrialStats:
     """Sample config.trials runs of the protocol, deterministic given (spec,
     config): the successes, and per mode the trials in which it fired."""
-    limits = _zero_limits(*evolve_sector(spec, *ancilla_steps(spec)))
+    limits = _zero_limits(spec)
     successes, fired = _tally(config.seed, config.trials, limits)
 
     empirical = successes / config.trials

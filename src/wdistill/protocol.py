@@ -18,6 +18,10 @@ applies all of them at once: a run costs O(N). A run is a few length-N
 arrays end to end: the spec's coefficients, the evolved state as its N
 particle and N-1 mode amplitudes (evolve_sector), each mode's firing
 probability and each particle's residual phase.
+
+Each step is a local unitary followed by post-selection, so the outcome
+probabilities are those of the magnitudes alone (WPrimeSpec.mode_weights),
+with no rounding of a phase in them; distill checks the evolved state's.
 """
 from __future__ import annotations
 
@@ -61,6 +65,9 @@ class WPrimeSpec:
     # every party but min_index, ascending: the order of the steps, of the
     # measured modes and of the sampler's draws (mode t belongs to party acting[t])
     acting: np.ndarray = field(init=False, repr=False)
+    # s_k^2 = (|c_k| - min|c_i|)(|c_k| + min|c_i|), k in acting: what party k's step moves
+    # onto its mode; the difference is exact for |c_k| <= 2 min|c_i| (Sterbenz)
+    mode_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         try:  # numpy parses numeric strings as numbers, and reads a bool as 0 or 1
@@ -98,7 +105,9 @@ class WPrimeSpec:
         window = min(MAG_TIE_TOL, MAG_TIE_REL * min_magnitude)
         min_index = int(np.argmax(mags <= min_magnitude + window))
         acting = np.delete(np.arange(len(coeffs)), min_index)
-        for name, value in (("coeffs", coeffs), ("magnitudes", mags), ("acting", acting)):
+        weights = (mags[acting] - min_magnitude) * (mags[acting] + min_magnitude)
+        derived = {"coeffs": coeffs, "magnitudes": mags, "acting": acting, "mode_weights": weights}
+        for name, value in derived.items():
             value.setflags(write=False)
             object.__setattr__(self, name, value)
         object.__setattr__(self, "min_index", min_index)
@@ -141,13 +150,14 @@ def ancilla_steps(spec: WPrimeSpec) -> tuple[np.ndarray, np.ndarray]:
     """(keep, fire): block entries of every acting party's ancilla step.
 
     Party k's two-qubit unitary is the identity on |0,0a> and the rotation
-    [[z_k, -s_k], [s_k, conj z_k]] on (|1,0a>, |0,1a>), with z_k =
-    min|c_i| / c_k and s_k = sqrt(1 - |z_k|^2): the excited qubit keeps
-    keep = z_k of its amplitude, which rescales (and de-phases) it to
-    min|c_i|, and hands fire = s_k to its ancilla.
+    [[z_k, -f_k], [f_k, conj z_k]] on (|1,0a>, |0,1a>), with z_k =
+    min|c_i| / c_k and f_k = sqrt(1 - |z_k|^2), taken as s_k / |c_k| with
+    s_k^2 = spec.mode_weights[k], which keeps its digits near a tie: the
+    excited qubit keeps keep = z_k of its amplitude, which rescales (and
+    de-phases) it to min|c_i|, and hands fire = f_k to its ancilla.
     """
     keep = spec.min_magnitude / spec.coeffs[spec.acting]
-    return keep, np.sqrt(np.maximum(0.0, 1.0 - np.abs(keep) ** 2))
+    return keep, np.sqrt(spec.mode_weights) / spec.magnitudes[spec.acting]
 
 
 def analytic_success_probability(spec: WPrimeSpec) -> float:
@@ -175,41 +185,35 @@ def evolve_sector(spec: WPrimeSpec, keep, fire) -> tuple[np.ndarray, np.ndarray]
     return particles, fire * acting
 
 
-def zero_prefix_weights(particles, modes) -> tuple[np.ndarray, np.ndarray]:
-    """(mode_weights, remaining): mode_weights[t] = |a_t|^2 of mode t, and
-    remaining[t], t = 0..n_modes, the weight of the kets in which modes
-    0..t-1 all read 0, i.e. the particles' weight plus that of modes t
-    onward. remaining[0] is the squared norm; the last entry is the
-    particles' weight alone. Summed from the last mode backward, so no
-    entry is a difference of larger ones."""
-    mode_weights = np.abs(modes) ** 2
-    tail = np.concatenate(([np.sum(np.abs(particles) ** 2)], mode_weights[::-1]))
-    return mode_weights, np.cumsum(tail)[::-1]
+def zero_prefix_weights(spec: WPrimeSpec) -> np.ndarray:
+    """remaining[t], t = 0..N-1: the weight of the evolved kets in which
+    modes 0..t-1 all read 0, from the magnitudes alone: mode t weighs
+    spec.mode_weights[t], and the particles (N-1) min|c_i|^2 + |c_j|^2, j
+    the kept party. remaining[0] is the squared norm, the last entry the
+    particles' weight. Summed from the last mode backward, so no entry is a
+    difference of larger ones."""
+    m, kept = spec.min_magnitude, spec.magnitudes[spec.min_index]
+    tail = np.concatenate(([(spec.n - 1) * m * m + kept * kept], spec.mode_weights[::-1]))
+    return np.cumsum(tail)[::-1]
 
 
-def measure_all_branches(particles, modes) -> tuple[np.ndarray, float, np.ndarray | None]:
+def measure_all_branches(spec: WPrimeSpec, particles, modes) -> tuple[np.ndarray, float, np.ndarray, float]:
     """Outcome probabilities of the mode measurements.
 
     Inside the sector either every mode reads 0 (the success branch) or
     exactly one mode t reads 1, which leaves every particle ground. The
     zero-prefix conditional probabilities chain through the running
     remaining weight R (zero_prefix_weights): P(modes before t read 0) =
-    R[t]/R[0] and P(mode t reads 1 | that) = |a_t|^2/R[t], so mode t fires
-    with probability |a_t|^2/R[0] and success has R[-1]/R[0].
+    R[t]/R[0] and P(mode t reads 1 | that) = w_t/R[t], so mode t fires
+    with probability w_t/R[0], w_t its weight, and success has R[-1]/R[0].
 
-    Returns (fire, success probability, normalized particle amplitudes of
-    the success branch, or None when it has probability zero); fire[t] is
-    the probability that mode t reads 1.
+    Returns (fire, success probability) from the magnitudes' weights w_t,
+    then the same two of the evolved state: |a_t|^2/R[0] and |particles|^2/R[0].
     """
-    mode_weights, remaining = zero_prefix_weights(particles, modes)
-    fire = mode_weights / remaining[0]
-    success_prob = float(remaining[-1] / remaining[0])
-    success_particles = None
-    if success_prob > 0.0:
-        # rescale before normalizing: the squared amplitudes may be subnormal
-        scaled = particles / np.abs(particles).max()
-        success_particles = scaled / math.sqrt(float(np.sum(np.abs(scaled) ** 2)))
-    return fire, success_prob, success_particles
+    remaining = zero_prefix_weights(spec)
+    total = remaining[0]
+    fire, success_prob = spec.mode_weights / total, float(remaining[-1] / total)
+    return fire, success_prob, np.abs(modes) ** 2 / total, float(np.sum(np.abs(particles) ** 2) / total)
 
 
 def phase_correction(amps: np.ndarray, phases: np.ndarray) -> np.ndarray:
@@ -246,25 +250,23 @@ def distill(spec: WPrimeSpec, particles, modes, phases: np.ndarray) -> Distillat
     then phase-correct it by the ledger phases (entry m: particle m's
     residual phase); shared by both realizations.
 
-    Cross-checks the branch sum, the success probability and each failure
-    row (party k's mode firing) against their closed forms, and the output
-    against the uniform W state; raises ToleranceError on any breach.
+    Reports the magnitudes' probabilities (measure_all_branches) and checks
+    their branch sum and success probability (against its closed form), the
+    evolved state's probabilities against them, and the output against the
+    uniform W state; raises ToleranceError on any breach.
     """
-    fire, success_prob, success_particles = measure_all_branches(particles, modes)
+    fire, success_prob, evolved_fire, evolved_success = measure_all_branches(spec, particles, modes)
     _check("branch probability sum", success_prob + float(np.sum(fire)), 1.0, PROB_MATCH_TOL)
-    # success has N min|c_i|^2 / sum|c_i|^2, and party k's mode fires with
-    # (|c_k|^2 - min|c_i|^2) / sum|c_i|^2: a spec may be off norm by 1e-9
-    analytic = analytic_success_probability(spec)
-    mags_sq = spec.magnitudes**2
-    norm_sq = mags_sq.sum()
-    _check("success probability", success_prob, analytic / norm_sq, PROB_MATCH_TOL)
-    closed = (mags_sq[spec.acting] - spec.min_magnitude**2) / norm_sq
-    t = int(np.argmax(np.abs(fire - closed)))  # argmax stops at the first NaN
-    _check(f"mode {t} firing probability", float(fire[t]), float(closed[t]), PROB_MATCH_TOL)
-    if success_particles is None:
-        raise ToleranceError("success branch has zero probability for a valid specification")
+    # success has N min|c_i|^2 / sum|c_i|^2: a spec may be off norm by 1e-9
+    analytic = analytic_success_probability(spec) / float(np.sum(spec.magnitudes**2))
+    _check("success probability", success_prob, analytic, PROB_MATCH_TOL)
+    _check("evolved success probability", evolved_success, success_prob, PROB_MATCH_TOL)
+    t = int(np.argmax(np.abs(evolved_fire - fire)))  # argmax stops at the first NaN
+    _check(f"evolved mode {t} firing probability", float(evolved_fire[t]), float(fire[t]), PROB_MATCH_TOL)
 
-    final_state = phase_correction(success_particles, phases)
+    # rescale before normalizing: the squared amplitudes may be subnormal
+    scaled = particles / np.abs(particles).max()
+    final_state = phase_correction(scaled / math.sqrt(float(np.sum(np.abs(scaled) ** 2))), phases)
     fid = fidelity(final_state, make_w_state(spec.n))
     _check("corrected output fidelity", fid, 1.0, FIDELITY_TOL)
     return DistillationReport(

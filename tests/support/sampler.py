@@ -3,8 +3,11 @@
 It draws the whole trials x (N-1) matrix of uniforms up front, takes each
 outcome as the inverse CDF of its uniform (the first index whose cumulative
 probability exceeds u, clamped to the last outcome in case the CDF rounds
-below 1) and counts each trial's first failing mode. Same
-SplitMix64 stream and the same conditional CDFs as wdistill.montecarlo.
+below 1) and counts each trial's first failing mode. Same SplitMix64
+stream as wdistill.montecarlo, and the same conditional CDFs, taken here
+from the evolved state of the scheme a run names instead of from the
+magnitudes: a limit they round apart by one moves a count only when a draw
+lands on it, with odds of 2^-53 per draw.
 """
 from __future__ import annotations
 
@@ -15,13 +18,7 @@ import numpy as np
 from wdistill.cavity import jc_steps
 from wdistill.errors import ToleranceError
 from wdistill.montecarlo import TrialConfig, TrialStats
-from wdistill.protocol import (
-    WPrimeSpec,
-    analytic_success_probability,
-    ancilla_steps,
-    evolve_sector,
-    zero_prefix_weights,
-)
+from wdistill.protocol import WPrimeSpec, analytic_success_probability, ancilla_steps, evolve_sector
 
 from .steps import JCModel
 
@@ -35,14 +32,13 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
-def _zero_prefix_cdfs(particles, modes, mode_dim: int) -> np.ndarray:
+def _zero_prefix_cdfs(mode_weights, remaining, mode_dim: int) -> np.ndarray:
     """Cumulative conditional outcome distributions of each measured mode,
     given that every earlier mode read 0 (row t: mode t over its mode_dim
     outcomes, 2 for an ancilla qubit, fock_cutoff + 1 for a cavity). Inside
     the single-excitation sector only outcomes 0 and 1 occur: mode t reads 1
-    with probability |a_t|^2 / R[t], R being the running remaining weight of
-    zero_prefix_weights."""
-    mode_weights, remaining = zero_prefix_weights(particles, modes)
+    with probability mode_weights[t] / R[t], R being the running remaining
+    weight (wdistill.protocol.zero_prefix_weights)."""
     if remaining[-1] == 0.0:
         raise ToleranceError("all-zero measurement prefix has zero probability")
     probs = np.zeros((len(remaining) - 1, mode_dim))
@@ -54,10 +50,17 @@ def _zero_prefix_cdfs(particles, modes, mode_dim: int) -> np.ndarray:
 def zero_prefix_cdfs(spec: WPrimeSpec, model: JCModel | None = None) -> np.ndarray:
     """_zero_prefix_cdfs of the evolved state of either scheme: the
     abstract one when model is None, else the cavity one with
-    model.fock_cutoff + 1 outcomes per mode."""
+    model.fock_cutoff + 1 outcomes per mode. The weights are |amplitude|^2
+    of the evolved sector, summed as zero_prefix_weights sums the
+    magnitudes' weights, not the package's weights themselves."""
     if model is None:
-        return _zero_prefix_cdfs(*evolve_sector(spec, *ancilla_steps(spec)), 2)
-    return _zero_prefix_cdfs(*evolve_sector(spec, *jc_steps(spec, model.params)[2:]), model.fock_cutoff + 1)
+        particles, modes = evolve_sector(spec, *ancilla_steps(spec))
+    else:
+        particles, modes = evolve_sector(spec, *jc_steps(spec, model.params)[2:])
+    mode_dim = 2 if model is None else model.fock_cutoff + 1
+    mode_weights = np.abs(modes) ** 2
+    remaining = np.cumsum(np.concatenate(([np.sum(np.abs(particles) ** 2)], mode_weights[::-1])))[::-1]
+    return _zero_prefix_cdfs(mode_weights, remaining, mode_dim)
 
 
 def trial_uniforms(seed: int, trials: int, draws: int) -> np.ndarray:

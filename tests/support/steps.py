@@ -84,14 +84,18 @@ def build_step_unitary(spec: WPrimeSpec, k: int) -> StepPlan:
 
     Basis order is {|0 0a>, |1 0a>, |0 1a>, |1 1a>}: the ancilla is the high
     bit. The |1 0a> -> |1 0a> entry is z_k = min|c_i| / c_k, which rescales
-    (and de-phases) party k's excitation amplitude to min|c_i|.
+    (and de-phases) party k's excitation amplitude to min|c_i|. The
+    |1 0a> -> |0 1a> entry sqrt(1 - |z_k|^2) is taken in the factored form
+    sqrt((|c_k| - min)(|c_k| + min)) / |c_k|, which has no cancellation
+    as |z_k| nears 1.
     """
     if not 0 <= k < spec.n:
         raise ValidationError(f"party index {k} out of range")
     if k == spec.min_index:
         raise ValidationError(f"party {k} holds the minimal coefficient and must not rotate")
-    z = spec.min_magnitude / complex(spec.coeffs[k])
-    s = math.sqrt(max(0.0, 1.0 - abs(z) ** 2))
+    m, mag = spec.min_magnitude, abs(complex(spec.coeffs[k]))
+    z = m / complex(spec.coeffs[k])
+    s = math.sqrt((mag - m) * (mag + m)) / mag
     u = np.array(
         [
             [1, 0, 0, 0],
@@ -166,7 +170,9 @@ def jc_propagator_closed(model: JCModel, t: float) -> np.ndarray:
 def optimal_interaction_time(
     spec: WPrimeSpec, k: int, epsilon: float, omega: float | None = None
 ) -> CavityStepPlan:
-    """Interaction time dt_k = arccos(min|c_i| / |c_k|) / eps for party k.
+    """Interaction time dt_k = arccos(min|c_i| / |c_k|) / eps for party k,
+    taken as atan2(sqrt((|c_k| - min)(|c_k| + min)), min) / eps, which keeps
+    its digits as the ratio nears 1 (arccos does not).
 
     Passing omega fills in the accrued phase-factor angles for the ledger.
     """
@@ -176,8 +182,8 @@ def optimal_interaction_time(
         raise ValidationError(f"party index {k} out of range")
     if k == spec.min_index:
         raise ValidationError(f"party {k} holds the minimal coefficient and must not interact")
-    ratio = spec.min_magnitude / abs(complex(spec.coeffs[k]))
-    delta_t = math.acos(min(1.0, ratio)) / epsilon
+    m, mag = spec.min_magnitude, abs(complex(spec.coeffs[k]))
+    delta_t = math.atan2(math.sqrt((mag - m) * (mag + m)), m) / epsilon
     phases = None
     if omega is not None:
         half = 0.5 * float(omega) * delta_t

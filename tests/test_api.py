@@ -116,9 +116,10 @@ def test_report_does_not_echo_the_minimal_party():
 
 
 def test_sampler_reads_no_scheme():
-    # the sampler draws from the abstract scheme's state, whichever scheme a run names
+    # the sampler draws from the magnitudes' weights, whichever scheme a run
+    # names, and evolves no state of either scheme
     assert [f.name for f in dataclasses.fields(montecarlo.TrialConfig)] == ["trials", "seed"]
-    assert not {"cavity", "JCParams", "jc_steps"} & set(vars(montecarlo))
+    assert not {"cavity", "JCParams", "jc_steps", "ancilla_steps", "evolve_sector"} & set(vars(montecarlo))
 
 
 def test_phase_step_is_not_exported():

@@ -7,11 +7,13 @@ subcommand on them. Any engine change must reproduce these bytes; a file
 is regenerated only when a change deliberately moves its bytes, and the
 change log says which.
 
-Report bytes also depend on which SIMD kernels numpy dispatches to (e.g.
-np.angle and np.arccos of an array round some inputs differently with and
-without AVX-512), so the goldens are also rerun with numpy's AVX-512 kernels
-switched off. The N=64 spec has enough coefficients that swapping libm
-acos for np.arccos moves its cavity reports.
+Report bytes could also depend on which SIMD kernels numpy dispatches to
+(e.g. np.angle, np.arccos and complex |z|^2 of an array round some inputs
+differently with and without AVX-512 or AVX2), so the goldens are also rerun
+with numpy's AVX-512 kernels switched off, and with every dispatched kernel
+off, leaving numpy's baseline (no AVX2 on x86-64). The N=64 spec has enough
+coefficients that swapping libm acos for np.arccos, or taking the
+probabilities from |amplitude|^2 of the evolved state, moves its reports.
 """
 import json
 import os
@@ -70,8 +72,9 @@ json.dump({"features": features, "outputs": outputs}, sys.stdout)
 """
 
 
-def _avx512_features() -> list[str]:
-    """The AVX-512-level targets numpy dispatches to on this CPU."""
+def _dispatched_features(avx512_only: bool) -> list[str]:
+    """The targets above its baseline that numpy dispatches to on this CPU:
+    the AVX-512-level ones, or all of them."""
     try:
         from numpy._core import _multiarray_umath as umath
     except ImportError:  # numpy < 2
@@ -79,14 +82,12 @@ def _avx512_features() -> list[str]:
     return [
         f
         for f in umath.__cpu_dispatch__
-        if (f == "X86_V4" or f.startswith("AVX512")) and umath.__cpu_features__.get(f)
+        if umath.__cpu_features__.get(f) and (not avx512_only or f == "X86_V4" or f.startswith("AVX512"))
     ]
 
 
-def test_goldens_hold_without_avx512_dispatch():
-    features = _avx512_features()
-    if not features:
-        pytest.skip("numpy dispatches no AVX-512 kernels on this CPU")
+def _rerun_without(features: list[str]) -> dict:
+    """Every case in a child interpreter with the given dispatch targets off."""
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(features))
     src = os.path.join(os.path.dirname(HERE), "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -100,6 +101,16 @@ def test_goldens_hold_without_avx512_dispatch():
     assert proc.returncode == 0, proc.stderr
     rerun = json.loads(proc.stdout)
     assert rerun["features"] == {f: False for f in features}
-    for name in sorted(CASES):
-        with open(os.path.join(GOLDEN, f"{name}.out"), encoding="utf-8", newline="") as fh:
-            assert rerun["outputs"][name] == [0, fh.read()], name
+    return rerun["outputs"]
+
+
+def test_goldens_hold_without_avx512_dispatch():
+    # AVX-512 off, then every dispatched target off: numpy's baseline kernels
+    runs = [f for f in (_dispatched_features(True), _dispatched_features(False)) if f]
+    if not runs:
+        pytest.skip("numpy dispatches no kernel above its baseline on this CPU")
+    for features in runs:
+        outputs = _rerun_without(features)
+        for name in sorted(CASES):
+            with open(os.path.join(GOLDEN, f"{name}.out"), encoding="utf-8", newline="") as fh:
+                assert outputs[name] == [0, fh.read()], (name, features)

@@ -8,9 +8,14 @@ MAG_TIE_TOL to MAG_TIE_REL * min|c_i|. Each run returns with every
 cross-check met or rejects the spec with SpecError (exit 2 in the CLI). It
 never raises ToleranceError (exit 3), which is kept for internal faults, and
 no numpy RuntimeWarning leaks from it.
+
+Near-ties also keep their digits: with every |c_k| within 1e-15 to 1e-6 of
+min|c_i|, each firing probability is within a few ulps, relative, of the
+exact rational (|c_k|^2 - min|c_i|^2) / sum|c_i|^2 of spec.magnitudes.
 """
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
@@ -92,3 +97,30 @@ def test_log_uniform_magnitudes_meet_every_check(coeffs):
 @given(coeffs=near_ties())
 def test_near_ties_at_the_window_edge_meet_every_check(coeffs):
     _meets_every_check_or_rejects_the_spec(coeffs)
+
+
+@st.composite
+def close_gaps(draw) -> list[complex]:
+    """2 to 12 complex parties: one at the minimum magnitude, each other one
+    above it by a gap log-uniform over [1e-15, 1e-6]."""
+    n = draw(st.integers(2, 12))
+    gaps = draw(st.lists(st.floats(-15.0, -6.0), min_size=n - 1, max_size=n - 1))
+    mags = 1.0 / math.sqrt(n) + np.concatenate(([0.0], np.power(10.0, gaps)))
+    mags /= math.sqrt(math.fsum(mags**2))  # moves each gap by a factor within 1e-5 of 1
+    return draw(st.permutations(_coefficients(mags.tolist(), draw(st.lists(PHASE, min_size=n, max_size=n)))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(coeffs=close_gaps(), omega=st.floats(0.5, 100.0), epsilon=st.floats(0.2, 5.0))
+def test_near_tie_firing_probabilities_are_exact_to_ulps(coeffs, omega, epsilon):
+    spec = WPrimeSpec(coeffs)
+    mags = [Fraction(m) for m in spec.magnitudes.tolist()]
+    least = Fraction(spec.min_magnitude)
+    total = sum(m * m for m in mags)
+    exact = [(mags[k] ** 2 - least**2) / total for k in spec.acting.tolist()]
+    # one rounding in each of (m_k + m) and the product, about N in the
+    # running sum of the weights and one in the division
+    bound = Fraction((spec.n + 5) * 2.0**-53)
+    for report in (run_exact(spec), run_physical(spec, JCParams(omega, epsilon))):
+        for fire, want in zip(report.fire_probabilities.tolist(), exact):
+            assert abs(Fraction(fire) - want) <= bound * want, (fire, float(want))

@@ -1,3 +1,4 @@
+import copy
 import math
 import os
 import sys
@@ -14,7 +15,6 @@ from support.sampler import trial_uniforms
 from support.statevec import project_site, site_distribution
 from support.steps import JCModel
 from wdistill import montecarlo
-from wdistill.cavity import jc_steps
 from wdistill.cli import _outcome_rows, load_spec
 from wdistill.errors import ToleranceError, ValidationError
 from wdistill.montecarlo import (
@@ -24,7 +24,7 @@ from wdistill.montecarlo import (
     confidence_interval,
     run_trials,
 )
-from wdistill.protocol import WPrimeSpec, ancilla_steps, evolve_sector, run_exact
+from wdistill.protocol import WPrimeSpec, run_exact, zero_prefix_weights
 
 NEAR_TIE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "near_tie.json")
 
@@ -198,15 +198,11 @@ def _model(fock: int | None) -> JCModel | None:
     return None if fock is None else JCModel(omega=13.5, omega0=13.5, epsilon=0.7, fock_cutoff=fock)
 
 
-def _state(spec: WPrimeSpec, fock: int | None):
-    if fock is None:
-        return evolve_sector(spec, *ancilla_steps(spec))
-    return evolve_sector(spec, *jc_steps(spec, _model(fock).params)[2:])
-
-
 def _cdfs(spec: WPrimeSpec, fock: int | None) -> np.ndarray:
-    """The reference sampler's CDF matrix, fock + 1 outcomes per cavity."""
-    return sampler.zero_prefix_cdfs(spec, _model(fock))
+    """The reference sampler's CDF matrix of the package's weights (the
+    magnitudes'), fock + 1 outcomes per cavity."""
+    mode_dim = 2 if fock is None else fock + 1
+    return sampler._zero_prefix_cdfs(spec.mode_weights, zero_prefix_weights(spec), mode_dim)
 
 
 class TestStreaming:
@@ -339,13 +335,13 @@ class TestStreaming:
     def test_limits_are_the_reference_cdfs_first_column(self, name, fock):
         spec = STREAMING_SPECS[name]
         expected = np.ceil(_cdfs(spec, fock)[:, 0] * 2.0**53).astype(np.uint64)
-        np.testing.assert_array_equal(_zero_limits(*_state(spec, fock)), expected)
+        np.testing.assert_array_equal(_zero_limits(spec), expected)
 
     @pytest.mark.parametrize("fock", FOCK)
     @pytest.mark.parametrize("name", sorted(STREAMING_SPECS))
     def test_integer_rule_matches_inverse_cdf_at_the_boundary(self, name, fock):
         cdfs = _cdfs(STREAMING_SPECS[name], fock)
-        limits = _zero_limits(*_state(STREAMING_SPECS[name], fock))
+        limits = _zero_limits(STREAMING_SPECS[name])
         for cdf, limit in zip(cdfs, limits):
             thr = cdf[0] * 2.0**53
             for k in {math.floor(thr) - 1, math.floor(thr), math.ceil(thr), 2**53 - 1}:
@@ -356,11 +352,14 @@ class TestStreaming:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_limits_reject_a_non_finite_weight(self, bad):
-        # a NaN limit would cast to some uint64 and the sampler would run on it
-        particles, modes = _state(STREAMING_SPECS["random8"], None)
-        modes[2] = complex(bad, 0.0)
+        # a NaN limit would cast to some uint64 and the sampler would run on it;
+        # a valid spec cannot hold such a weight, so a copy is given one
+        spec = copy.copy(STREAMING_SPECS["random8"])
+        weights = spec.mode_weights.copy()
+        weights[2] = bad
+        object.__setattr__(spec, "mode_weights", weights)
         with pytest.raises(ToleranceError, match=f"state weight {bad!r} is not finite"):
-            _zero_limits(particles, modes)
+            _zero_limits(spec)
 
     def test_tally_compares_the_draw_with_the_limit(self):
         # trial 0's first draw k sits exactly on the limit: k < k reads 1,
@@ -407,7 +406,7 @@ class TestStreaming:
         for fock in (2, 3):
             for spec in STREAMING_SPECS.values():
                 cdfs = _cdfs(spec, fock)
-                for cdf, limit in zip(cdfs, _zero_limits(*_state(spec, fock))):
+                for cdf, limit in zip(cdfs, _zero_limits(spec)):
                     if cdf[1] > u:
                         continue
                     rounded += 1
