@@ -3,9 +3,11 @@
 tests/golden/ holds four coefficient files (the worked N=3 spec, random
 complex N=5 and N=64 specs, and an N=4 spec whose two smallest magnitudes
 differ by 4e-13, inside MAG_TIE_TOL) and the exact stdout of every
-subcommand on them. Any engine change must reproduce these bytes; a file
-is regenerated only when a change deliberately moves its bytes, and the
-change log says which.
+subcommand on them. The sample_few reports run 50 trials: on random64's 63
+steps the sampler's chunk drops its failed trials while the steps left
+outnumber the trials it holds, then carries them. Any engine change must
+reproduce these bytes; a file is regenerated only when a change
+deliberately moves its bytes, and the change log says which.
 
 Report bytes could also depend on which SIMD kernels numpy dispatches to
 (e.g. np.angle, np.arccos and complex |z|^2 of an array round some inputs
@@ -33,6 +35,7 @@ SPEC_COMMANDS = {
     "cavity_fock2": ["cavity", "--fock", "2", "--omega", "13.5", "--epsilon", "0.7"],
     "sample_abstract": ["sample", "--trials", "10000", "--seed", "42"],
     "sample_cavity": ["sample", "--trials", "10000", "--seed", "42", "--scheme", "cavity"],
+    "sample_few": ["sample", "--trials", "50", "--seed", "42"],
 }
 
 CASES = {

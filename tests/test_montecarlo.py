@@ -265,6 +265,90 @@ class TestStreaming:
             sys.setswitchinterval(interval)
         assert stats == sampler.run_trials(spec, config, None)
 
+    # Each step of a chunk draws for every state it holds: the failed trials
+    # it carries as well as the live ones. The regimes below are forced by
+    # the spec, trial count and chunk size; each compares run_trials at 1, 2
+    # and 3 workers with the reference sampler, and reads which states were
+    # drawn for from the sizes of the one-worker run's draws (per chunk, its
+    # seeding draw, then one per step).
+    def _run_regime(self, monkeypatch, spec, trials, chunk) -> tuple[TrialStats, list[int]]:
+        config = TrialConfig(trials=trials, seed=5)
+        expected = sampler.run_trials(spec, config, None)
+        real, sizes = montecarlo._mix64, []
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        monkeypatch.setattr(montecarlo, "_mix64", lambda x, scratch: sizes.append(len(x)) or real(x, scratch))
+        for workers in (3, 2, 1):
+            sizes.clear()
+            monkeypatch.setattr(montecarlo, "_usable_cpus", lambda w=workers: w)
+            monkeypatch.setattr(montecarlo, "_MAX_WORKERS", workers)
+            assert run_trials(spec, config) == expected, workers
+        return expected, sizes
+
+    @staticmethod
+    def _live_draws(stats: TrialStats) -> int:
+        """The draws of a run that draws only for trials not yet failed."""
+        failed_before = np.cumsum((0,) + stats.fired[:-1])
+        return stats.trials + int(np.sum(stats.trials - failed_before))
+
+    def test_more_steps_than_chunk_states_draw_only_for_live_trials(self, monkeypatch):
+        # N - 1 = 99 steps over chunks of 16: a failure is dropped at once
+        spec = random_spec(np.random.default_rng(100), 100)
+        stats, sizes = self._run_regime(monkeypatch, spec, 16 * 4 + 5, 16)
+        assert sum(sizes) == self._live_draws(stats)
+
+    def test_few_steps_carry_every_state(self, monkeypatch):
+        # N = 8: 7 steps over chunks of 4096, no chunk drops a state
+        stats, sizes = self._run_regime(monkeypatch, STREAMING_SPECS["random8"], 10_000, 4096)
+        assert sizes == [m for m in (4096, 4096, 1808) for _ in range(8)]
+        assert sum(sizes) > self._live_draws(stats)
+
+    def test_a_chunk_drops_states_then_carries_them(self, monkeypatch):
+        # 63 steps over chunks of 25: states are dropped while the steps
+        # left outnumber them, then failures are carried to the end
+        spec = load_spec(os.path.join(os.path.dirname(NEAR_TIE), "random64.json"))[0]
+        stats, sizes = self._run_regime(monkeypatch, spec, 50, 25)
+        assert min(sizes) < 25
+        assert sum(sizes) > self._live_draws(stats)
+
+    def test_every_trial_failing_at_the_first_step(self, monkeypatch):
+        # q_0 ~ 3e-18 rounds to the limit 1: no draw passes it
+        coeffs = np.array([1.0, 1e-9, 1e-9, 1e-9])
+        spec = WPrimeSpec(coeffs / np.linalg.norm(coeffs))
+        assert list(_zero_limits(spec)) == [1, 2**53, 2**53]
+        stats, sizes = self._run_regime(monkeypatch, spec, 10_001, 4096)
+        assert (stats.successes, stats.fired) == (0, (10_001, 0, 0))
+        assert sizes == [4096, 4096, 4096, 4096, 1809, 1809]
+
+    def test_no_trial_ever_failing(self, monkeypatch):
+        stats, sizes = self._run_regime(monkeypatch, STREAMING_SPECS["uniform"], 10_001, 4096)
+        assert (stats.successes, stats.fired) == (10_001, (0, 0, 0))
+        assert sizes == [m for m in (4096, 4096, 1809) for _ in range(4)]
+
+    def test_a_chunk_whose_carried_trials_all_fail(self, monkeypatch):
+        # chunks of 4 over 3 steps: every failure is carried, and a chunk
+        # whose trials fail at two different steps, all before the last,
+        # stops drawing once its last live trial fails
+        spec = STREAMING_SPECS["skewed"]
+        trials = 4 * 100
+        stats, sizes = self._run_regime(monkeypatch, spec, trials, 4)
+        assert set(sizes) == {4}
+        reads_one = trial_uniforms(5, trials, spec.n - 1) * 2.0**53 >= _zero_limits(spec)
+        first = np.where(reads_one.any(axis=1), reads_one.argmax(axis=1), spec.n - 1).reshape(-1, 4)
+        assert np.any((first.max(axis=1) < spec.n - 2) & (first.min(axis=1) < first.max(axis=1)))
+        assert len(sizes) < (1 + spec.n - 1) * trials // 4
+
+    def test_as_many_steps_left_as_states_drop_a_failure_at_once(self, monkeypatch):
+        # 4 trials over 5 steps: after step 0, 4 steps are left for 4 states,
+        # and the one trial that fails there (its draw sits on the limit) is
+        # dropped before step 1, whatever _COMPACT is
+        real, sizes = montecarlo._mix64, []
+        monkeypatch.setattr(montecarlo, "_mix64", lambda x, scratch: sizes.append(len(x)) or real(x, scratch))
+        k = (trial_uniforms(9, 4, 1)[:, 0] * 2.0**53).astype(np.int64)
+        limits = np.array([k.max()] + [2**53] * 4, dtype=np.uint64)
+        successes, fired = montecarlo._tally(9, 4, limits)
+        assert (successes, list(fired)) == (3, [1, 0, 0, 0, 0])
+        assert sizes == [4, 4, 3, 3, 3, 3]
+
     def _fault_in_helper(self, monkeypatch, fault: BaseException) -> list[int]:
         # the helper's first draw waits until the calling thread has drawn,
         # and fails; the caller's draws go on once it has: the sizes of the
