@@ -80,15 +80,16 @@ def _emit(text: str, out_path: str | None) -> None:
 # ---------------------------------------------------------------------------
 # coefficient-file ingestion
 
-def load_spec(path: str, allow_unnormalized: bool = False) -> tuple[WPrimeSpec, float]:
+def load_spec(path: str) -> tuple[WPrimeSpec, float]:
     """Parse a coefficient file into a spec plus the applied rescale factor.
 
     The file is JSON: {"coefficients": [[re, im], ...], "normalize": bool}.
-    Without the normalize flag the squared magnitudes must sum to 1 within
-    1e-6; ingestion always rescales exactly so downstream code sees a unit
-    vector. The rows load into one (N, 2) float64 array whose squares are
-    taken at a power-of-two scale of the largest component, exact in binary,
-    so no magnitude a double can hold overflows or underflows them.
+    Unless the file sets "normalize": true, the squared magnitudes must sum
+    to 1 within FILE_NORM_TOL; ingestion always rescales exactly so
+    downstream code sees a unit vector. The rows load into one (N, 2)
+    float64 array whose squares are taken at a power-of-two scale of the
+    largest component, exact in binary, so no magnitude a double can hold
+    overflows or underflows them.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -129,7 +130,7 @@ def load_spec(path: str, allow_unnormalized: bool = False) -> tuple[WPrimeSpec, 
     # add.accumulate sums in file order on every Python (sum() is compensated on 3.12+)
     scaled = np.ldexp(pairs, -e)
     total = np.add.accumulate(np.float_power(np.hypot(scaled[:, 0], scaled[:, 1]), 2))[-1]
-    if not (normalize or allow_unnormalized):
+    if not normalize:
         try:
             norm_sq = math.ldexp(total, 2 * e)
         except OverflowError:
@@ -137,7 +138,7 @@ def load_spec(path: str, allow_unnormalized: bool = False) -> tuple[WPrimeSpec, 
         if abs(norm_sq - 1.0) > FILE_NORM_TOL:
             raise SpecError(
                 f"sum of squared magnitudes is {norm_sq!r}, not 1 within {FILE_NORM_TOL} "
-                "(pass --allow-unnormalized or set \"normalize\": true to rescale)"
+                "(set \"normalize\": true to rescale)"
             )
     try:
         factor = math.ldexp(1.0 / math.sqrt(total), -e)
@@ -197,7 +198,7 @@ def _jc_params(args) -> JCParams:
 
 
 def cmd_distill(args) -> int:
-    spec, factor = load_spec(args.spec_path, args.allow_unnormalized)
+    spec, factor = load_spec(args.spec_path)
     doc = _exact_report(spec, factor, "abstract", run_exact(spec))
     _emit(render_report(doc), args.out)
     return EXIT_OK
@@ -205,7 +206,7 @@ def cmd_distill(args) -> int:
 
 def cmd_cavity(args) -> int:
     params = _jc_params(args)
-    spec, factor = load_spec(args.spec_path, args.allow_unnormalized)
+    spec, factor = load_spec(args.spec_path)
     report = run_physical(spec, params)
     doc = _exact_report(spec, factor, "cavity", report)
     doc["jc_params"] = asdict(params)
@@ -221,7 +222,7 @@ def cmd_sample(args) -> int:
         raise UsageError("--seed must be a 64-bit unsigned integer")
     # the JC flags are validated under either scheme, and read by the cavity one
     params = _jc_params(args)
-    spec, factor = load_spec(args.spec_path, args.allow_unnormalized)
+    spec, factor = load_spec(args.spec_path)
     cavity = args.scheme == "cavity"
     if cavity:  # both schemes sample alike, but only at a coupling `cavity` accepts
         jc_steps(spec, params)
@@ -289,11 +290,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_spec_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("spec_path", help="JSON coefficient file")
-    p.add_argument(
-        "--allow-unnormalized",
-        action="store_true",
-        help="rescale the coefficients to a unit vector instead of rejecting",
-    )
 
 
 def _add_out_arg(p: argparse.ArgumentParser) -> None:

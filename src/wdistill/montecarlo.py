@@ -21,12 +21,12 @@ non-|0>/non-vacuum detection; failure branches cannot recover, so this
 truncation does not change the success/failure classification.
 
 Trials run in fixed chunks, tallying failures per step. A chunk draws on
-for its failed trials and ignores those draws until carrying them through
-the steps left would cost more than dropping their states (at every step
-while the steps left outnumber the states). The chunks are shared among W
-workers, W the smallest of the chunk count, the CPUs this process may run
-on (its affinity) and _MAX_WORKERS, so memory is O(_CHUNK) per worker, at
-most _MAX_WORKERS * O(_CHUNK), whatever the number of trials or CPUs.
+for its failed trials and ignores those draws, and drops their states once
+carrying them through the steps left would draw at least _COMPACT times
+the states it holds. The chunks are shared among W workers, W the smallest
+of the chunk count, the CPUs this process may run on (its affinity) and
+_MAX_WORKERS, so memory is O(_CHUNK) per worker, at most
+_MAX_WORKERS * O(_CHUNK), whatever the number of trials or CPUs.
 Every draw is still the same function of (seed, trial, step), and the
 counts are integer sums, so W changes no result.
 """
@@ -47,7 +47,7 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 # trials per chunk: bounds each worker's memory, never the results
 _CHUNK = 1 << 15
 # a chunk drops its failed trials' states once carrying them through the
-# steps left would draw more than _COMPACT times the states it holds. Timed on
+# steps left would draw at least _COMPACT times the states it holds. Timed on
 # a 2-vCPU host, one worker, 10^6 trials: at N=8 32.7 ms compacting at every
 # step, 24.1, 24.0, 23.9 ms at 1, 2, never; at N=64 176 ms, then 164, 159, 162
 # ms at 1, 2, 3. Boolean indexing beat np.compress (159 vs 166 ms at N=64)
@@ -171,7 +171,7 @@ def _tally(seed: int, trials: int, limits: np.ndarray) -> tuple[int, np.ndarray]
                     if not k:
                         break
                     steps_left = len(limits) - 1 - t
-                    if k < m and (steps_left >= m or (m - k) * steps_left >= _COMPACT * m):
+                    if k < m and (m - k) * steps_left >= _COMPACT * m:
                         states = states[kept]
                         m = k
                     else:

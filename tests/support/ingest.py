@@ -19,7 +19,7 @@ from wdistill.errors import SpecError
 from wdistill.protocol import WPrimeSpec
 
 
-def load_spec(path: str, allow_unnormalized: bool = False) -> tuple[WPrimeSpec, float]:
+def load_spec(path: str) -> tuple[WPrimeSpec, float]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -58,7 +58,7 @@ def load_spec(path: str, allow_unnormalized: bool = False) -> tuple[WPrimeSpec, 
     total = 0.0
     for c in coeffs:
         total += abs(complex(math.ldexp(c.real, -e), math.ldexp(c.imag, -e))) ** 2
-    if not (normalize or allow_unnormalized):
+    if not normalize:
         try:
             norm_sq = math.ldexp(total, 2 * e)
         except OverflowError:
@@ -66,7 +66,7 @@ def load_spec(path: str, allow_unnormalized: bool = False) -> tuple[WPrimeSpec, 
         if abs(norm_sq - 1.0) > FILE_NORM_TOL:
             raise SpecError(
                 f"sum of squared magnitudes is {norm_sq!r}, not 1 within {FILE_NORM_TOL} "
-                "(pass --allow-unnormalized or set \"normalize\": true to rescale)"
+                "(set \"normalize\": true to rescale)"
             )
     try:
         factor = math.ldexp(1.0 / math.sqrt(total), -e)

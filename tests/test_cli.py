@@ -145,18 +145,11 @@ class TestDistill:
         assert json.loads(out)["success_probability_exact"] == pytest.approx(1.0, abs=1e-10)
 
     def test_unnormalized_rejected_then_rescaled(self, capsys, tmp_path):
-        path = write_spec(tmp_path, {"coefficients": [[1, 0], [1, 0]]})
-        assert main(["distill", path]) == 2
-        capsys.readouterr()
-        code, out = run_cli(capsys, "distill", path, "--allow-unnormalized")
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["normalization_factor"] == pytest.approx(1 / math.sqrt(2), abs=1e-12)
-        assert doc["success_probability_exact"] == pytest.approx(1.0, abs=1e-10)
-
-    def test_normalize_flag_in_file(self, capsys, tmp_path):
-        path = write_spec(tmp_path, {"coefficients": [[3, 0], [4, 0]], "normalize": True})
-        code, out = run_cli(capsys, "distill", path)
+        # only the file asks for a rescale
+        rows = [[3, 0], [4, 0]]
+        assert main(["distill", write_spec(tmp_path, {"coefficients": rows})]) == 2
+        assert '(set "normalize": true to rescale)' in capsys.readouterr().err
+        code, out = run_cli(capsys, "distill", write_spec(tmp_path, {"coefficients": rows, "normalize": True}))
         assert code == 0
         doc = json.loads(out)
         assert doc["normalization_factor"] == pytest.approx(0.2, abs=1e-12)
@@ -592,6 +585,11 @@ class TestExitCodes:
 
     def test_unknown_flag_exits_1(self, worked_path):
         assert main(["distill", worked_path, "--frobnicate"]) == 1
+
+    @pytest.mark.parametrize("command", ["distill", "cavity", "sample"])
+    def test_allow_unnormalized_is_an_unknown_flag(self, worked_path, command):
+        # a rescale is asked for by the file's "normalize": true alone
+        assert main([command, worked_path, "--allow-unnormalized"]) == 1
 
     def test_numerical_failure_exits_3(self, monkeypatch, worked_path):
         from wdistill import cli

@@ -15,17 +15,17 @@ from support import ingest
 from wdistill.cli import load_spec
 
 
-def _outcome(loader, path: str, allow_unnormalized: bool = False):
+def _outcome(loader, path: str):
     try:
-        spec, factor = loader(path, allow_unnormalized)
+        spec, factor = loader(path)
     except Exception as exc:  # the error itself is the outcome
         return type(exc), str(exc)
     return spec.coeffs.tobytes(), factor.hex()
 
 
-def _assert_same(path: str, allow_unnormalized: bool = False):
-    new = _outcome(load_spec, path, allow_unnormalized)
-    ref = _outcome(ingest.load_spec, path, allow_unnormalized)
+def _assert_same(path: str):
+    new = _outcome(load_spec, path)
+    ref = _outcome(ingest.load_spec, path)
     assert new == ref
     return new
 
@@ -61,10 +61,12 @@ def test_random_files_match_the_reference(tmp_path, seed):
 
 
 def test_unnormalized_file_matches_the_reference(tmp_path):
+    rows = [[3, 0], [0, -4], [1.5, 2.5]]
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps({"coefficients": [[3, 0], [0, -4], [1.5, 2.5]]}), encoding="utf-8")
+    path.write_text(json.dumps({"coefficients": rows}), encoding="utf-8")
     assert _assert_same(str(path))[0].__name__ == "SpecError"
-    assert isinstance(_assert_same(str(path), allow_unnormalized=True)[0], bytes)
+    path.write_text(json.dumps({"coefficients": rows, "normalize": True}), encoding="utf-8")
+    assert isinstance(_assert_same(str(path))[0], bytes)
 
 
 # raw file text, malformed or at the edge of the accepted range

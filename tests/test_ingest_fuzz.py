@@ -51,12 +51,12 @@ def files(draw) -> bytes:
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
-@given(data=files(), allow_unnormalized=st.booleans())
-def test_load_spec_returns_a_spec_or_raises_spec_error(tmp_path_factory, data, allow_unnormalized):
+@given(data=files())
+def test_load_spec_returns_a_spec_or_raises_spec_error(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "hostile.json"
     path.write_bytes(data)
     try:
-        spec, factor = load_spec(str(path), allow_unnormalized)
+        spec, factor = load_spec(str(path))
     except SpecError:
         return
     assert isinstance(spec, WPrimeSpec) and isinstance(factor, float)

@@ -291,10 +291,17 @@ class TestStreaming:
         return stats.trials + int(np.sum(stats.trials - failed_before))
 
     def test_more_steps_than_chunk_states_draw_only_for_live_trials(self, monkeypatch):
-        # N - 1 = 99 steps over chunks of 16: a failure is dropped at once
+        # N - 1 = 99 steps over 5 chunks of at most 16 states. A chunk of m
+        # states carries d failed ones past a step with s steps left only
+        # while d * s < _COMPACT * m <= 32, so d <= min(16, 31 // s) and no
+        # state is carried with 32 or more steps left: at most
+        # sum over s = 1..31 of min(16, 31 // s) = 98 extra draws per chunk
         spec = random_spec(np.random.default_rng(100), 100)
         stats, sizes = self._run_regime(monkeypatch, spec, 16 * 4 + 5, 16)
-        assert sum(sizes) == self._live_draws(stats)
+        extra = sum(min(16, 31 // s) for s in range(1, 32))
+        assert extra == 98
+        live = self._live_draws(stats)
+        assert live <= sum(sizes) <= live + 5 * extra
 
     def test_few_steps_carry_every_state(self, monkeypatch):
         # N = 8: 7 steps over chunks of 4096, no chunk drops a state
@@ -303,8 +310,8 @@ class TestStreaming:
         assert sum(sizes) > self._live_draws(stats)
 
     def test_a_chunk_drops_states_then_carries_them(self, monkeypatch):
-        # 63 steps over chunks of 25: states are dropped while the steps
-        # left outnumber them, then failures are carried to the end
+        # 63 steps over chunks of 25: failures are dropped while many steps
+        # are left, then carried to the end
         spec = load_spec(os.path.join(os.path.dirname(NEAR_TIE), "random64.json"))[0]
         stats, sizes = self._run_regime(monkeypatch, spec, 50, 25)
         assert min(sizes) < 25
@@ -337,17 +344,20 @@ class TestStreaming:
         assert np.any((first.max(axis=1) < spec.n - 2) & (first.min(axis=1) < first.max(axis=1)))
         assert len(sizes) < (1 + spec.n - 1) * trials // 4
 
-    def test_as_many_steps_left_as_states_drop_a_failure_at_once(self, monkeypatch):
-        # 4 trials over 5 steps: after step 0, 4 steps are left for 4 states,
-        # and the one trial that fails there (its draw sits on the limit) is
-        # dropped before step 1, whatever _COMPACT is
+    def test_one_failure_is_dropped_at_the_compact_boundary(self, monkeypatch):
+        # 4 trials; the one whose draw sits on step 0's limit fails there.
+        # With 8 steps left, 1 * 8 >= _COMPACT * 4 drops it before step 1;
+        # with 7 it is carried to the end
+        assert montecarlo._COMPACT == 2
         real, sizes = montecarlo._mix64, []
         monkeypatch.setattr(montecarlo, "_mix64", lambda x, scratch: sizes.append(len(x)) or real(x, scratch))
         k = (trial_uniforms(9, 4, 1)[:, 0] * 2.0**53).astype(np.int64)
-        limits = np.array([k.max()] + [2**53] * 4, dtype=np.uint64)
-        successes, fired = montecarlo._tally(9, 4, limits)
-        assert (successes, list(fired)) == (3, [1, 0, 0, 0, 0])
-        assert sizes == [4, 4, 3, 3, 3, 3]
+        for steps, drawn in ((9, [4, 4] + [3] * 8), (8, [4] * 9)):
+            sizes.clear()
+            limits = np.array([k.max()] + [2**53] * (steps - 1), dtype=np.uint64)
+            successes, fired = montecarlo._tally(9, 4, limits)
+            assert (successes, list(fired)) == (3, [1] + [0] * (steps - 1))
+            assert sizes == drawn, steps
 
     def _fault_in_helper(self, monkeypatch, fault: BaseException) -> list[int]:
         # the helper's first draw waits until the calling thread has drawn,
