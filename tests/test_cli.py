@@ -146,10 +146,18 @@ class TestDistill:
 
     def test_unnormalized_rejected_then_rescaled(self, capsys, tmp_path):
         # only the file asks for a rescale
-        rows = [[3, 0], [4, 0]]
+        rows = [[1, 0], [1, 0]]
         assert main(["distill", write_spec(tmp_path, {"coefficients": rows})]) == 2
         assert '(set "normalize": true to rescale)' in capsys.readouterr().err
         code, out = run_cli(capsys, "distill", write_spec(tmp_path, {"coefficients": rows, "normalize": True}))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["normalization_factor"] == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+        assert doc["success_probability_exact"] == pytest.approx(1.0, abs=1e-10)
+
+    def test_normalize_flag_in_file(self, capsys, tmp_path):
+        path = write_spec(tmp_path, {"coefficients": [[3, 0], [4, 0]], "normalize": True})
+        code, out = run_cli(capsys, "distill", path)
         assert code == 0
         doc = json.loads(out)
         assert doc["normalization_factor"] == pytest.approx(0.2, abs=1e-12)
