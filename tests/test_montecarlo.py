@@ -522,6 +522,69 @@ class TestStreaming:
             tracemalloc.stop()
         assert peak < 8e6
 
+    def test_memory_is_the_workers_buffers(self, monkeypatch):
+        # two workers over 25 chunks of 4096. Each has, allocated once per
+        # call, three uint64 rows (states, draws, scratch) and two bool rows
+        # (keep, live) of _CHUNK, (3 * 8 + 2) * _CHUNK bytes, and both read
+        # one shared 8 * _CHUNK-byte table of start offsets. random8 drops
+        # no state at this chunk size (test_few_steps_carry_every_state), so
+        # no compaction copy adds to that. The slack covers the counts,
+        # lists and scalars of the call and the helper thread's objects
+        # (~8.5 KB on Python 3.11, numpy 2.4): 16 KiB, half of one uint64
+        # row, so one more row held by a worker, or a third worker, exceeds
+        # the bound
+        chunk = 4096
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_MAX_WORKERS", 2)
+        limits = _zero_limits(STREAMING_SPECS["random8"])
+        montecarlo._tally(1, 10, limits)  # warm caches
+        tracemalloc.start()
+        try:
+            montecarlo._tally(1, 100_000, limits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * (3 * 8 + 2) * chunk + 8 * chunk + 16 * 1024
+
+    @pytest.mark.parametrize(
+        "name, chunk, trials",
+        [
+            # the module's chunk size, no power of two, with a one-trial
+            # last chunk: the offsets table's first entry
+            pytest.param("random8", None, None, id="one-trial-last-chunk"),
+            # 63 steps over two chunks of 37 and one of 30, which drops states
+            pytest.param("random64", 37, 2 * 37 + 30, id="last-chunk-compacts"),
+        ],
+    )
+    def test_a_short_last_chunk_matches_the_reference(self, monkeypatch, name, chunk, trials):
+        if name == "random64":
+            spec = load_spec(os.path.join(os.path.dirname(NEAR_TIE), "random64.json"))[0]
+        else:
+            spec = STREAMING_SPECS[name]
+        chunk = chunk or montecarlo._CHUNK
+        trials = trials or 2 * chunk + 1
+        config = TrialConfig(trials=trials, seed=8)
+        expected = sampler.run_trials(spec, config, None)
+        # per draw, its size and its first word before mixing
+        real, calls = montecarlo._mix64, []
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        monkeypatch.setattr(montecarlo, "_mix64", lambda x, scratch: calls.append((len(x), int(x[0]))) or real(x, scratch))
+        for workers in (3, 2, 1):
+            calls.clear()
+            monkeypatch.setattr(montecarlo, "_usable_cpus", lambda w=workers: w)
+            monkeypatch.setattr(montecarlo, "_MAX_WORKERS", workers)
+            assert run_trials(spec, config) == expected, workers
+        # the one-worker run seeds the last chunk, trial 2 * chunk, from
+        # seed + (2 * chunk + 1) * GAMMA, then draws for its states
+        last = trials - 2 * chunk
+        start = (config.seed + (2 * chunk + 1) * int(montecarlo._GAMMA)) % 2**64
+        seeded = calls.index((last, start))
+        sizes = [size for size, _ in calls[seeded:]]
+        assert sizes[:2] == [last, last]
+        if last > 1:
+            assert min(sizes) < last  # it dropped states, then drew for the rest
+
 
 class TestConfidenceInterval:
     def _stats(self, successes: int, trials: int) -> TrialStats:
