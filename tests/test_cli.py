@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -30,6 +31,11 @@ def write_spec(tmp_path, doc, name="s.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
+
+
+def read_golden(name: str) -> str:
+    with open(os.path.join(GOLDEN, f"{name}.out"), encoding="utf-8", newline="") as fh:
+        return fh.read()
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -467,6 +473,108 @@ class TestEntry:
             target = tomllib.load(fh)["project"]["scripts"]["wdistill"]
         module, _, attr = target.partition(":")
         assert getattr(importlib.import_module(module), attr) is cli.entry
+
+
+class TestParserReuse:
+    """`main` parses on one parser built per process and looks the command's
+    function up by name on each call."""
+
+    @pytest.fixture
+    def fresh_parser(self):
+        cli.build_parser.cache_clear()
+        yield
+        cli.build_parser.cache_clear()
+
+    def test_repeated_calls_are_independent(self, capsys, tmp_path):
+        worked = os.path.join(GOLDEN, "worked.json")
+        out = tmp_path / "report.json"
+        reports = [
+            (["cavity", worked, "--fock", "2", "--omega", "13.5", "--epsilon", "0.7"], "cavity_fock2"),
+            (["cavity", worked, "--fock", "1"], "cavity_fock1"),
+            (["sample", worked, "--trials", "10000", "--seed", "42", "--scheme", "cavity"], "sample_cavity"),
+            (["sample", worked, "--trials", "10000", "--seed", "42"], "sample_abstract"),
+            (["distill", worked, "--out", str(out)], None),
+            (["distill", worked], "distill"),
+        ]
+        # each runs twice, between the reports, and must read the same both times
+        misuse = [
+            (["distill", worked, "--frobnicate"], 1, "unrecognized arguments: --frobnicate"),
+            (["distill", write_spec(tmp_path, {"coefficients": [[1, 0], [0, 0]]})], 2, "invalid spec"),
+            (["--version"], 0, ""),
+        ]
+        seen = {}
+        for i, (argv, golden) in enumerate(reports):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.err) == (0, ""), argv
+            if golden:
+                assert captured.out == read_golden(f"worked.{golden}"), argv
+            else:
+                assert captured.out == ""
+                assert out.read_text(encoding="utf-8") == read_golden("worked.distill")
+            argv, expected_code, message = misuse[i % len(misuse)]
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == expected_code and message in captured.err, argv
+            assert seen.setdefault(i % len(misuse), (captured.out, captured.err)) == (captured.out, captured.err)
+        assert len(seen) == len(misuse)
+
+    def test_parser_is_built_once(self, monkeypatch, capsys, fresh_parser):
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs["prog"])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        assert main(["wstate", "--n", "2"]) == 0
+        assert main(["sweep", "--n", "3", "--steps", "2"]) == 0
+        commands = ("distill", "cavity", "sample", "sweep", "wstate")
+        assert built == ["wdistill", *(f"wdistill {c}" for c in commands)]
+
+    def test_patched_command_takes_effect(self, monkeypatch, capsys):
+        # the benchmark's tracer wraps cli.cmd_* by module attribute the same way
+        assert main(["wstate", "--n", "2"]) == 0
+        assert cli.build_parser.cache_info().currsize == 1
+        capsys.readouterr()
+        calls = []
+
+        def fake(args):
+            calls.append(args.spec_path)
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_distill", fake)
+        assert main(["distill", "spec.json"]) == 0
+        assert calls == ["spec.json"]
+        assert capsys.readouterr().out == ""
+
+    def test_threads_share_the_parser(self, tmp_path):
+        cases = {
+            "worked.cavity_fock1": ["cavity", "worked.json", "--fock", "1"],
+            "worked.cavity_fock2": ["cavity", "worked.json", "--fock", "2", "--omega", "13.5", "--epsilon", "0.7"],
+            "random5.sample_abstract": ["sample", "random5.json", "--trials", "10000", "--seed", "42"],
+            "random5.sample_cavity": [
+                "sample", "random5.json", "--trials", "10000", "--seed", "42", "--scheme", "cavity",
+            ],
+        }
+
+        def run(names, out):
+            mismatched = []
+            for i in range(100):
+                name = names[i % 2]
+                command, spec, *flags = cases[name]
+                code = main([command, os.path.join(GOLDEN, spec), *flags, "--out", str(out)])
+                if code != 0 or out.read_text(encoding="utf-8") != read_golden(name):
+                    mismatched.append((i, name, code))
+            return mismatched
+
+        with ThreadPoolExecutor(2) as pool:
+            runs = [
+                pool.submit(run, names, tmp_path / f"out{k}.json")
+                for k, names in enumerate([list(cases)[:2], list(cases)[2:]])
+            ]
+            assert [r.result() for r in runs] == [[], []]
 
 
 class TestLargeN:
